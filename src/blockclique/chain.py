@@ -23,7 +23,7 @@ import logging
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InsufficientBalance, MissingParent, StructuralViolation, UnknownBlock
 
@@ -306,11 +306,6 @@ class BlockStore:
         self.validate = validate
         self.max_pending = max_pending
         self.blocks: dict[bytes, Block] = {}
-        # per block: own-thread parent id (None for genesis) for chain walks
-        self._own_parent: dict[bytes, Optional[bytes]] = {}
-        # per block: tuple over threads of (period, id) of the latest
-        # thread-tau ancestor-or-self, or None when unreachable
-        self._tips: dict[bytes, tuple] = {}
         self._waiting: dict[bytes, list[bytes]] = {}   # missing id -> waiting block ids
         self._pending: dict[bytes, Block] = {}         # waiting block id -> block
         self.rejected: list[tuple[bytes, list[str]]] = []
@@ -319,7 +314,7 @@ class BlockStore:
         for tau in range(params.thread_count):
             g = make_genesis(tau)
             self.genesis_ids.append(g.id)
-            self._admit(g)
+            self.blocks[g.id] = g
 
     def __contains__(self, block_id: bytes) -> bool:
         return block_id in self.blocks
@@ -337,29 +332,15 @@ class BlockStore:
     def pending_count(self) -> int:
         return len(self._pending)
 
-    def own_parent(self, block_id: bytes) -> Optional[bytes]:
-        return self._own_parent[block_id]
-
-    def path_in_thread(self, a: bytes, b: bytes, thread: int) -> bool:
-        """True iff a is b or an ancestor of b along thread-local parent links."""
-        if a not in self.blocks or b not in self.blocks:
-            raise UnknownBlock("path query on unknown block")
-        ba, bb = self.blocks[a], self.blocks[b]
-        if ba.thread != thread or bb.thread != thread:
-            return False
-        return self._chain_covers(a, ba.slot.period, b)
-
-    def _chain_covers(self, ancestor_id: bytes, ancestor_period: int, tip_id: bytes) -> bool:
-        # walk tip's own-thread chain down to ancestor_period
-        cur = tip_id
-        cur_period = self.blocks[cur].slot.period
-        while cur_period > ancestor_period:
-            nxt = self._own_parent[cur]
-            if nxt is None:
-                return False
-            cur = nxt
-            cur_period = self.blocks[cur].slot.period
-        return cur == ancestor_id
+    def _chain_covers(self, ancestor: Block, tip: Block) -> bool:
+        """Whether ``ancestor`` lies on ``tip``'s own-thread chain. Own-thread
+        periods strictly decrease along a stored chain down to genesis."""
+        thread = tip.slot.thread
+        period = ancestor.slot.period
+        cur = tip
+        while cur.slot.period > period:
+            cur = self.blocks[cur.parents[thread]]
+        return cur.id == ancestor.id
 
     def receive(self, block: Block) -> list[Block]:
         """Accept a block, buffering it if parents are missing.
@@ -389,7 +370,7 @@ class BlockStore:
                     log.warning("dropped invalid buffered block %s: %s",
                                 blk.id.hex()[:16], "; ".join(violations))
                     continue
-            self._admit(blk)
+            self.blocks[blk.id] = blk
             accepted.append(blk)
             # release any blocks that were waiting on this one
             for rid in self._waiting.pop(blk.id, ()):
@@ -405,35 +386,19 @@ class BlockStore:
         if block.id in self._pending:
             return
         if len(self._pending) >= self.max_pending:
-            victim = next(iter(self._pending))
-            del self._pending[victim]
+            victim_id, victim = next(iter(self._pending.items()))
+            del self._pending[victim_id]
+            for p in victim.parents:
+                waiters = self._waiting.get(p)
+                if waiters is not None and victim_id in waiters:
+                    waiters.remove(victim_id)
+                    if not waiters:
+                        del self._waiting[p]
             self.dropped_pending += 1
-            log.warning("waiting pool full; dropped pending block %s", victim.hex()[:16])
+            log.warning("waiting pool full; dropped pending block %s", victim_id.hex()[:16])
         self._pending[block.id] = block
         for m in missing:
             self._waiting.setdefault(m, []).append(block.id)
-
-    def _admit(self, block: Block) -> None:
-        t = self.params.thread_count
-        bid = block.id
-        self.blocks[bid] = block
-        if block.is_genesis:
-            self._own_parent[bid] = None
-            tips = [None] * t
-            tips[block.thread] = (0, bid)
-            self._tips[bid] = tuple(tips)
-            return
-        self._own_parent[bid] = block.parents[block.thread]
-        tips: list = [None] * t
-        for p in block.parents:
-            for tau, tip in enumerate(self._tips[p]):
-                if tip is not None and (tips[tau] is None or tip > tips[tau]):
-                    tips[tau] = tip
-        tips[block.thread] = (block.slot.period, bid)
-        self._tips[bid] = tuple(tips)
-
-    def tips(self, block_id: bytes) -> tuple:
-        return self._tips[block_id]
 
 
 def validate_block_structure(block: Block, store: BlockStore,
@@ -461,28 +426,30 @@ def validate_block_structure(block: Block, store: BlockStore,
         violations.append("non-genesis block in period 0")
     if block.size_bits > params.max_block_size:
         violations.append(f"size {block.size_bits} exceeds limit {params.max_block_size}")
-    for tau, pid in enumerate(block.parents):
-        parent = store.get(pid)
+    parents = [store.get(pid) for pid in block.parents]
+    for tau, parent in enumerate(parents):
         if parent.thread != tau:
             violations.append(f"parent {tau} lies in thread {parent.thread}")
     if violations:
         return violations
-    own = store.get(block.parents[block.thread])
+    own = parents[block.thread]
     if own.slot.period >= block.slot.period:
         violations.append("own-thread parent period is not strictly smaller")
 
     # Ancestor consistency: every thread-tau ancestor reachable through any
     # parent must lie on the own-thread chain of the declared parent in tau.
-    for tau in range(t):
-        ref = store.get(block.parents[tau])
-        for p in block.parents:
-            tip = store.tips(p)[tau]
-            if tip is None:
+    # Stored parents passed this check themselves, so a parent's latest
+    # thread-tau ancestor is its own thread-tau parent, and a genesis parent
+    # outside tau has none.
+    for tau, ref in enumerate(parents):
+        ref_id = block.parents[tau]
+        for parent in parents:
+            if parent is ref or parent.is_genesis:
                 continue
-            tip_period, tip_id = tip
-            if tip_period > ref.slot.period or not store._chain_covers(tip_id, tip_period, ref.id):
+            anc_id = parent.parents[tau]
+            if anc_id != ref_id and not store._chain_covers(store.blocks[anc_id], ref):
                 violations.append(
-                    f"ancestor {tip_id.hex()[:12]} in thread {tau} is not covered "
+                    f"ancestor {anc_id.hex()[:12]} in thread {tau} is not covered "
                     f"by the declared parent"
                 )
                 break

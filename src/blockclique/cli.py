@@ -207,26 +207,20 @@ def _sweep_values(expr: str) -> tuple[str, list[float]]:
 
 
 def cmd_attack(args) -> int:
+    started = time.time()
     try:
+        tails = [int(x) for x in args.tail.split(",")] if args.tail else None
         if args.threshold and args.beta is None:
             from .security import newcomer_safety_threshold
             record = {
                 "mu": args.mu,
                 "beta_star": newcomer_safety_threshold(args.mu, args.E),
             }
-            out = canonical_json(record)
-            if args.out:
-                manifest = RunManifest("attack", record, 0, started=time.time())
-                manifest.finished = time.time()
-                _write_output(args.out, "attack.json", out + "\n", manifest)
-                manifest.write(args.out)
-            print(out)
-            return EXIT_OK
-        if args.beta is None:
+            name, text = "attack.json", canonical_json(record) + "\n"
+        elif args.beta is None:
             print("error: --beta is required unless --threshold is given", file=sys.stderr)
             return EXIT_CONFIG
-        tails = [int(x) for x in args.tail.split(",")] if args.tail else None
-        if args.sweep:
+        elif args.sweep:
             key, values = _sweep_values(args.sweep)
             rows = []
             for v in values:
@@ -237,31 +231,30 @@ def cmd_attack(args) -> int:
             columns = ["beta", "mu", "gamma", "finality", "endorsement_slots",
                        "start", "p_success", "log10_p", "mean_slots", "std_slots",
                        "beta_star"]
-            text = write_csv(rows, columns)
-            if args.out:
-                manifest = RunManifest("attack", {"sweep": args.sweep}, 0,
-                                       started=time.time())
-                manifest.finished = time.time()
-                _write_output(args.out, "sweep.csv", text, manifest)
-                manifest.write(args.out)
-            sys.stdout.write(text)
-            return EXIT_OK
-        tm = _threat_model(args, {})
-        record = analyze(tm, start=args.start, with_duration=args.duration,
-                         tail_slots=tails)
-        if args.closed_form:
-            record["p_closed_form"] = closed_form_success(tm)
-        out = canonical_json(record)
-        if args.out:
-            manifest = RunManifest("attack", record, 0, started=time.time())
-            manifest.finished = time.time()
-            _write_output(args.out, "attack.json", out + "\n", manifest)
-            manifest.write(args.out)
-        print(out)
-        return EXIT_OK
+            name, text = "sweep.csv", write_csv(rows, columns)
+        else:
+            tm = _threat_model(args, {})
+            record = analyze(tm, start=args.start, with_duration=args.duration,
+                             tail_slots=tails)
+            if args.closed_form:
+                record["p_closed_form"] = closed_form_success(tm)
+            name, text = "attack.json", canonical_json(record) + "\n"
     except (DomainError, ValueError) as e:
         print(f"domain error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.out:
+        inputs = {
+            "beta": args.beta, "mu": args.mu, "F": args.F, "E": args.E,
+            "start": args.start, "duration": args.duration, "tail": tails,
+            "sweep": args.sweep, "threshold": args.threshold,
+            "closed_form": args.closed_form,
+        }
+        manifest = RunManifest("attack", inputs, 0, started=started)
+        _write_output(args.out, name, text, manifest)
+        manifest.finished = time.time()
+        manifest.write(args.out)
+    sys.stdout.write(text)
+    return EXIT_OK
 
 
 def _threat_model(args, overrides: dict) -> ThreatModel:

@@ -252,24 +252,13 @@ class CompatibilityState:
         self._desc_fitness[bid] = 0
         self._total_fitness += meta.fitness
         self._cliques = None
-        children = self._children
         desc = self._desc_fitness
         fit = meta.fitness
-        seen: set[bytes] = set()
-        stack = [p for p in meta.parents if p in self.active]
-        active = self.active
-        while stack:
-            pid = stack.pop()
-            if pid in seen:
-                continue
-            seen.add(pid)
-            desc[pid] += fit
-            for gp in active[pid].parents:
-                if gp not in seen and gp in active:
-                    stack.append(gp)
+        for aid in self._ancestors(meta):
+            desc[aid] += fit
         for p in meta.parents:
-            if p in active:
-                children.setdefault(p, []).append(bid)
+            if p in self.active:
+                self._children.setdefault(p, []).append(bid)
 
     def _descendants(self, meta: HeaderMeta) -> list[HeaderMeta]:
         """All active blocks having ``meta`` as a strict ancestor."""
@@ -310,7 +299,9 @@ class CompatibilityState:
 
     def maximal_cliques(self) -> list[tuple[frozenset, int]]:
         """Maximal cliques of compatible active blocks with their total
-        fitness, sorted best-first per the blockclique rule."""
+        fitness, sorted best-first per the blockclique rule: maximum total
+        fitness, ties broken by the smaller big-integer sum of member ids,
+        then lexicographically. The first entry is the blockclique."""
         if self._cliques is not None:
             return self._cliques
         if not self.active:
@@ -355,25 +346,10 @@ class CompatibilityState:
         bk([], set(vertices), set())
         return results
 
-    def select_blockclique(self) -> int:
-        """Index of the best clique: maximum total fitness, ties broken by the
-        smaller big-integer sum of member ids, then lexicographically."""
-        cliques = self.maximal_cliques()
-        best = 0
-        for i in range(1, len(cliques)):
-            b_m, b_f = cliques[best]
-            c_m, c_f = cliques[i]
-            if c_f > b_f or (
-                c_f == b_f and (_id_sum(c_m), tuple(sorted(c_m)))
-                < (_id_sum(b_m), tuple(sorted(b_m)))
-            ):
-                best = i
-        return best
-
     @property
     def blockclique(self) -> frozenset:
-        cliques = self.maximal_cliques()
-        return cliques[self.select_blockclique()][0]
+        """Members of the best-ranked maximal clique."""
+        return self.maximal_cliques()[0][0]
 
     # -- settlement --------------------------------------------------------------
 
@@ -388,7 +364,7 @@ class CompatibilityState:
         threshold. Both rules are evaluated on the same pre-removal snapshot.
         """
         cliques = self.maximal_cliques()
-        bc_fitness = cliques[self.select_blockclique()][1]
+        bc_fitness = cliques[0][1]
         threshold = self.threshold
         incompat = self._incompat
 

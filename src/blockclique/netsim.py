@@ -10,6 +10,13 @@ size/bandwidth plus the edge latency. Receivers pay a verification delay
 before updating their consensus state and forwarding. Verification is modeled
 as a time cost only; blocks are honest by construction and are not
 re-validated at every node.
+
+A node's consensus state needs a block's parents before the block itself, and
+the event order guarantees it without any out-of-order buffer: each upload
+channel is a FIFO queue, a node relays a block only after processing it, and
+verification costs the same for every block. So a parent reaches every node's
+processing step before its child, and a break in that order raises
+``UnprocessedParent`` instead of going unnoticed.
 """
 
 from __future__ import annotations
@@ -270,44 +277,6 @@ class SimMetrics:
                 if k not in ("block_records", "propagation")}
 
 
-class _Node:
-    """Per-node runtime state: consensus view plus an out-of-order buffer."""
-
-    __slots__ = ("consensus", "seen", "pending", "waiting")
-
-    def __init__(self, params: ProtocolParams):
-        self.consensus = CompatibilityState(params)
-        self.seen: set[bytes] = set()
-        self.pending: dict[bytes, HeaderMeta] = {}
-        self.waiting: dict[bytes, list[bytes]] = {}
-
-    def admit(self, meta: HeaderMeta) -> list[HeaderMeta]:
-        """Feed one verified header; returns all headers that became
-        processable (parents-first order)."""
-        known = self.consensus._meta
-        out: list[HeaderMeta] = []
-        queue = [meta]
-        while queue:
-            m = queue.pop(0)
-            if m.id in known:
-                continue
-            if any(p not in known for p in m.parents):
-                if m.id not in self.pending:
-                    self.pending[m.id] = m
-                    for p in m.parents:
-                        if p not in known:
-                            self.waiting.setdefault(p, []).append(m.id)
-                continue
-            out.append(m)
-            self.consensus.extend_meta(m)
-            for rid in self.waiting.pop(m.id, ()):
-                pm = self.pending.get(rid)
-                if pm is not None and not any(p not in known for p in pm.parents):
-                    del self.pending[rid]
-                    queue.append(pm)
-        return out
-
-
 def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
                    collect_propagation: bool = False) -> SimMetrics:
     """Run the full network simulation and measure it.
@@ -321,7 +290,8 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
     oracle = SelectionOracle(_derive_seed(cfg.seed, "blockclique.sim.selection"),
                              cfg.node_count)
     miss_seed = _derive_seed(cfg.seed, "blockclique.sim.miss")
-    nodes = [_Node(params) for _ in range(cfg.node_count)]
+    states = [CompatibilityState(params) for _ in range(cfg.node_count)]
+    seen: list[set[bytes]] = [set() for _ in range(cfg.node_count)]
     send_queue: list[deque] = [deque() for _ in range(cfg.node_count)]
     sending = [False] * cfg.node_count
     half_needed = math.ceil(cfg.node_count / 2)
@@ -371,7 +341,7 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
         q = send_queue[sender]
         while q:
             dst, lat, bid = q.popleft()
-            if bid in nodes[dst].seen:
+            if bid in seen[dst]:
                 continue
             done = now + (blocks[bid].size_bits + wire_extra) / topo.bandwidths[sender]
             sending[sender] = True
@@ -389,18 +359,18 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
         if lag > max_lag:
             max_lag = lag
         relay(node_idx, block_id, now)
-        node = nodes[node_idx]
-        for meta in node.admit(metas[block_id]):
-            final, stale = node.consensus.update_finality()
-            cliques = len(node.consensus.maximal_cliques())
-            if cliques > max_cliques:
-                max_cliques = cliques
-            for bid in final:
-                if bid in blocks and blocks[bid].creator == node_idx and bid not in settle:
-                    settle[bid] = ("final", now)
-            for bid in stale:
-                if bid in blocks and blocks[bid].creator == node_idx and bid not in settle:
-                    settle[bid] = ("stale", now)
+        state = states[node_idx]
+        state.extend_meta(metas[block_id])
+        final, stale = state.update_finality()
+        cliques = len(state.maximal_cliques())
+        if cliques > max_cliques:
+            max_cliques = cliques
+        for bid in final:
+            if bid in blocks and blocks[bid].creator == node_idx and bid not in settle:
+                settle[bid] = ("final", now)
+        for bid in stale:
+            if bid in blocks and blocks[bid].creator == node_idx and bid not in settle:
+                settle[bid] = ("stale", now)
 
     while heap:
         now, _, kind, a, b = heapq.heappop(heap)
@@ -412,8 +382,7 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
                 slots_missed += 1
                 continue
             producer = oracle.draw_block_producer(slot)
-            state = nodes[producer].consensus
-            parents = tuple(state.best_parents())
+            parents = tuple(states[producer].best_parents())
             endorsements = ()
             if cfg.endorsements_enabled and params.endorsement_slots:
                 picked = []
@@ -435,13 +404,12 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
                 half_at[bid] = now
             if prop is not None:
                 prop[bid] = [(producer, now)]
-            nodes[producer].seen.add(bid)
+            seen[producer].add(bid)
             process(producer, bid, now)
         elif kind == _EV_ARRIVE:
-            node = nodes[a]
-            if b in node.seen:
+            if b in seen[a]:
                 continue
-            node.seen.add(b)
+            seen[a].add(b)
             count = holders[b] + 1
             holders[b] = count
             if count == half_needed:

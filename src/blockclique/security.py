@@ -31,15 +31,14 @@ DEFAULT_MC_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class ThreatModel:
-    """Attack-analysis inputs. ``snapshot_delay`` and ``max_delay`` are carried
-    as documented assumptions only; the walk assumes the attack completes
-    within the snapshot delay and that honest messages beat max_delay."""
+    """Attack-analysis inputs. The walk assumes honest messages beat
+    ``max_delay``; with ``slot_interval`` given, the record flags whether
+    that delay breaks the half-slot bound."""
 
     attacker_share: float
     miss_rate: float = 0.0
     finality: int = 64
     endorsement_slots: int = 0
-    snapshot_delay: float = 0.0
     max_delay: float = 0.0
     slot_interval: Optional[float] = None
 
@@ -100,41 +99,32 @@ class FitnessChain:
         p = np.zeros((size, size))
         p[0, 0] = 1.0       # failure barrier
         p[m, m] = 1.0       # success barrier
-        for k in range(1, m):          # state -k is row m-k
-            row = m - k
-            p[row, row] += stay
-            for n, pr in enumerate(fwd, start=1):
-                p[row, m - max(k - n, 0)] += pr
-            for n, pr in enumerate(bwd, start=1):
-                p[row, m - min(k + n, m)] += pr
+        # one pass per jump size; a pass touches each row once, so mass that
+        # overshoots into a barrier cell accumulates in jump order
+        ks = np.arange(1, m)
+        rows = m - ks       # state -k is row m-k
+        p[rows, rows] += stay
+        for n, pr in enumerate(fwd, start=1):
+            p[rows, m - np.maximum(ks - n, 0)] += pr
+        for n, pr in enumerate(bwd, start=1):
+            p[rows, m - np.minimum(ks + n, m)] += pr
         self.matrix = p
         self.states = list(range(-m, 1))
 
 
 def _transient_system(tm: ThreatModel) -> tuple[np.ndarray, np.ndarray]:
     """(I - Q) over transient states k=1..M-1 (distance from success), plus
-    the one-jump success mass vector."""
+    the one-jump success mass vector, both read off ``FitnessChain.matrix``
+    (state -k is its row M-k)."""
     m = tm.span
     if m < 2:
         raise SingularSystem("no transient states")
-    fwd, bwd, stay = jump_probabilities(tm)
+    fwd, bwd, _ = jump_probabilities(tm)
     if sum(fwd) + sum(bwd) <= 0.0:
         raise SingularSystem("walk has no transition mass toward either barrier")
-    n_t = m - 1
-    a = np.zeros((n_t, n_t))
-    r = np.zeros(n_t)
-    for k in range(1, m):
-        i = k - 1
-        a[i, i] = 1.0 - stay
-        for n, pr in enumerate(fwd, start=1):
-            if k - n <= 0:
-                r[i] += pr
-            else:
-                a[i, k - n - 1] -= pr
-        for n, pr in enumerate(bwd, start=1):
-            if k + n < m:
-                a[i, k + n - 1] -= pr
-    return a, r
+    p = FitnessChain(tm).matrix
+    transient = slice(m - 1, 0, -1)     # k = 1..M-1
+    return np.eye(m - 1) - p[transient, transient], p[transient, m].copy()
 
 
 def _decay_root(tm: ThreatModel) -> Optional[float]:
@@ -184,9 +174,15 @@ def _solve_success(tm: ThreatModel, start: Optional[int]) -> tuple[float, float]
                 x += np.linalg.solve(a, r - a @ x)
             p = float(x[k0 - 1])
             return p, math.log10(p) if p > 0 else -math.inf
+        # scale only the jump band and the one-jump mass: z^(j-i) and z^-k
+        # overflow far from the diagonal, where 0 * inf would give nan
         ks = np.arange(1, m, dtype=float)
-        scaled = a * np.power(z, ks[None, :] - ks[:, None])
-        rhs = r * np.power(z, -ks)
+        rows, cols = np.nonzero(a)
+        scaled = np.zeros_like(a)
+        scaled[rows, cols] = a[rows, cols] * np.power(z, ks[cols] - ks[rows])
+        (hit,) = np.nonzero(r)
+        rhs = np.zeros_like(r)
+        rhs[hit] = r[hit] * np.power(z, -ks[hit])
         y = np.linalg.solve(scaled, rhs)
         for _ in range(2):
             y += np.linalg.solve(scaled, rhs - scaled @ y)

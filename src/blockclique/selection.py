@@ -37,19 +37,15 @@ class SelectionOracle:
     """Pure-function selection of producers and endorsers for every slot.
 
     Uniform weights model a uniform resource distribution; arbitrary integer
-    weights plug in a stake distribution. The distribution is fixed for a run;
-    ``snapshot_delay`` is carried as metadata only (an attack is assumed to
-    complete within it) and never triggers re-snapshotting.
+    weights plug in a stake distribution. The distribution is fixed for a run.
     """
 
-    def __init__(self, seed: int, node_weights: Sequence[tuple[int, int]] | int,
-                 snapshot_delay: float = 0.0):
+    def __init__(self, seed: int, node_weights: Sequence[tuple[int, int]] | int):
         if isinstance(node_weights, int):
             node_weights = [(n, 1) for n in range(node_weights)]
         if not node_weights:
             raise ValueError("node_weights must not be empty")
         self.seed = seed & 0xFFFF_FFFF_FFFF_FFFF
-        self.snapshot_delay = snapshot_delay
         self.nodes = [n for n, _ in node_weights]
         self._cum = []
         total = 0

@@ -256,6 +256,15 @@ class TestBlockStore:
             store.receive(mk_block(store, 0, i + 1, parents, creator=i))
         assert store.pending_count == 3
         assert store.dropped_pending == 2
+        # orphans with distinct missing parents: eviction must also drop the
+        # victims' entries from the missing-parent index
+        for i in range(200):
+            parents = [bytes([1]) + i.to_bytes(31, "big")] + store.genesis_ids[1:]
+            store.receive(mk_block(store, 0, i + 1, parents, creator=i))
+        assert store.pending_count == 3
+        indexed = [bid for waiters in store._waiting.values() for bid in waiters]
+        assert sorted(indexed) == sorted(store._pending)
+        assert len(store._waiting) == 3
 
 
 class TestLedger:

@@ -97,6 +97,43 @@ class TestAttackCommand:
     def test_missing_beta_exit_2(self, capsys):
         assert run(["attack", "--mu", "0.01"]) == 2
 
+    def test_sweep_finite_where_probabilities_underflow(self, capsys):
+        assert run(["attack", "--mu", "0.01", "--F", "64", "--E", "8", "--beta", "0.05",
+                    "--sweep", "beta=0.05:0.45:0.01"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert len(rows) == 41
+        log10s = [float(r["log10_p"]) for r in rows]
+        assert all(math.isfinite(x) for x in log10s)
+        assert all(a < b for a, b in zip(log10s, log10s[1:]))
+        assert all(0.0 <= float(r["p_success"]) <= 1.0 for r in rows)
+
+    def test_sweep_manifest_reruns(self, tmp_path, capsys):
+        argv = ["attack", "--beta", "0.1", "--mu", "0.01", "--F", "8", "--E", "2",
+                "--start", "-12", "--duration", "--tail", "8,16",
+                "--sweep", "beta=0.1:0.3:0.1"]
+        assert run(argv + ["--out", str(tmp_path / "a")]) == 0
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert manifest["outputs"] == ["sweep.csv"]
+        c = manifest["config"]
+        assert c == {"beta": 0.1, "mu": 0.01, "F": 8, "E": 2, "start": -12,
+                     "duration": True, "tail": [8, 16], "sweep": "beta=0.1:0.3:0.1",
+                     "threshold": False, "closed_form": False}
+        rerun = ["attack", "--beta", str(c["beta"]), "--mu", str(c["mu"]),
+                 "--F", str(c["F"]), "--E", str(c["E"]), "--start", str(c["start"]),
+                 "--tail", ",".join(map(str, c["tail"])), "--sweep", c["sweep"],
+                 "--out", str(tmp_path / "b")] + (["--duration"] if c["duration"] else [])
+        assert run(rerun) == 0
+        assert ((tmp_path / "a" / "sweep.csv").read_bytes()
+                == (tmp_path / "b" / "sweep.csv").read_bytes())
+
+    def test_threshold_manifest_records_e(self, tmp_path, capsys):
+        assert run(["attack", "--threshold", "--mu", "0.01", "--E", "3",
+                    "--out", str(tmp_path)]) == 0
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert config["E"] == 3 and config["mu"] == 0.01 and config["threshold"]
+
 
 class TestReplayCommand:
     def _write_trace(self, path, params, blocks):

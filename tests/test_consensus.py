@@ -194,7 +194,7 @@ class TestBlockcliqueSelection:
     def test_single_clique_selected(self):
         st = CompatibilityState(params())
         st.extend(blk(0, 1, st.genesis_ids))
-        assert st.select_blockclique() == 0
+        assert st.blockclique == st.maximal_cliques()[0][0]
 
 
 class TestFinality:
