@@ -187,8 +187,13 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+SWEEP_KEYS = ("beta", "mu", "F", "E")
+
+
 def _sweep_values(expr: str) -> tuple[str, list[float]]:
     key, _, rng = expr.partition("=")
+    if key not in SWEEP_KEYS:
+        raise ValueError(f"sweep key must be one of {', '.join(SWEEP_KEYS)}, got {key!r}")
     parts = rng.split(":")
     if len(parts) != 3:
         raise ValueError(f"sweep must be key=start:stop:step, got {expr!r}")
@@ -258,12 +263,7 @@ def cmd_attack(args) -> int:
 
 
 def _threat_model(args, overrides: dict) -> ThreatModel:
-    fields = {
-        "beta": args.beta,
-        "mu": args.mu,
-        "F": args.F,
-        "E": args.E,
-    }
+    fields = {key: getattr(args, key) for key in SWEEP_KEYS}
     fields.update(overrides)
     return ThreatModel(
         attacker_share=fields["beta"],

@@ -12,6 +12,11 @@ recursive compatibility definition reduces to local edge checks.
 Maximal cliques of compatible blocks are enumerated as maximal independent
 sets of the (sparse) incompatibility graph via pivoted Bron-Kerbosch on the
 complement. The conflict-free common case short-circuits to a single clique.
+
+Headers must be ancestor-consistent, as structural validation enforces: every
+thread-τ ancestor of a block lies on the own-thread chain of its τ-parent, so
+a block's active ancestors are T own-thread walks. Consensus trusts this rule
+and does not re-check it; ``replay --no-validate`` feeds unchecked headers.
 """
 
 from __future__ import annotations
@@ -72,9 +77,6 @@ class CompatibilityState:
         self._edge_count = 0
         self._children: dict[bytes, list[bytes]] = {}
         self._desc_fitness: dict[bytes, int] = {}
-        self._thread_active: list[dict[bytes, HeaderMeta]] = [
-            {} for _ in range(params.thread_count)
-        ]
         self._latest_final: list[Optional[tuple[int, bytes]]] = [None] * params.thread_count
         self.final_set: set[bytes] = set()
         self.stale_set: set[bytes] = set()
@@ -86,7 +88,7 @@ class CompatibilityState:
             g = HeaderMeta.from_block(make_genesis(tau))
             self.genesis_ids.append(g.id)
             self._meta[g.id] = g
-            self._admit(g)
+            self._admit(g, ())
 
     # -- queries -------------------------------------------------------------
 
@@ -146,6 +148,8 @@ class CompatibilityState:
         return self.extend_meta(HeaderMeta.from_block(block))
 
     def extend_meta(self, meta: HeaderMeta) -> str:
+        """Insert one header whose parents were processed; returns its status.
+        The header is trusted to be ancestor-consistent (module docstring)."""
         if meta.id in self._meta:
             return self.status(meta.id)
         for p in meta.parents:
@@ -171,20 +175,13 @@ class CompatibilityState:
                 self.stale_set.add(meta.id)
                 return STATUS_STALE
 
-        # thread incompatibility only arises inside the block's own thread
-        direct: list[HeaderMeta] = []
-        own = meta.own_parent
-        for x in self._thread_active[meta.thread].values():
-            if not x.is_genesis and x.own_parent == own:
-                direct.append(x)
-        gpi = self._gpi
-        for x in self.active.values():
-            if x.is_genesis:
-                continue
-            if x.thread == meta.thread and x.own_parent == own:
-                continue  # already collected as thread-incompatible
-            if gpi(meta, x):
-                direct.append(x)
+        # an active ancestor x is never thread- or grandpa-incompatible with
+        # the block: the block's parent in x's thread is x or above it on x's
+        # chain, so it covers x.own_parent and differs from it
+        ancestors = self._ancestors(meta)
+        ti, gpi = self._ti, self._gpi
+        direct = [x for x in self.active.values()
+                  if x.id not in ancestors and (ti(meta, x) or gpi(meta, x))]
 
         conflicts: set[bytes] = set()
         for p in active_parents:
@@ -202,7 +199,7 @@ class CompatibilityState:
             self.stale_set.add(meta.id)
             return STATUS_STALE
 
-        self._admit(meta)
+        self._admit(meta, ancestors)
         if conflicts:
             mine = incompat.setdefault(meta.id, set())
             for cid in conflicts:
@@ -245,16 +242,15 @@ class CompatibilityState:
                 cur = meta_map[cur.own_parent]
         return True
 
-    def _admit(self, meta: HeaderMeta) -> None:
+    def _admit(self, meta: HeaderMeta, ancestors: Iterable[bytes]) -> None:
         bid = meta.id
         self.active[bid] = meta
-        self._thread_active[meta.thread][bid] = meta
         self._desc_fitness[bid] = 0
         self._total_fitness += meta.fitness
         self._cliques = None
         desc = self._desc_fitness
         fit = meta.fitness
-        for aid in self._ancestors(meta):
+        for aid in ancestors:
             desc[aid] += fit
         for p in meta.parents:
             if p in self.active:
@@ -278,21 +274,17 @@ class CompatibilityState:
             stack.extend(self._children.get(cid, ()))
         return out
 
-    def _ancestors(self, meta: HeaderMeta) -> list[bytes]:
-        """Ids of active strict ancestors of ``meta``."""
-        out: list[bytes] = []
-        seen: set[bytes] = set()
-        stack = [p for p in meta.parents if p in self.active]
+    def _ancestors(self, meta: HeaderMeta) -> set[bytes]:
+        """Ids of active strict ancestors of ``meta``: per thread, the active
+        top of its parent's own-thread chain. Exact for ancestor-consistent
+        headers (every thread-τ ancestor lies on that chain), because on each
+        chain the active blocks sit above the final ones."""
         active = self.active
-        while stack:
-            pid = stack.pop()
-            if pid in seen:
-                continue
-            seen.add(pid)
-            out.append(pid)
-            for gp in active[pid].parents:
-                if gp not in seen and gp in active:
-                    stack.append(gp)
+        out: set[bytes] = set()
+        for pid in meta.parents:
+            while pid in active:
+                out.add(pid)
+                pid = active[pid].own_parent
         return out
 
     # -- cliques ---------------------------------------------------------------
@@ -320,30 +312,39 @@ class CompatibilityState:
         return ranked
 
     def _enumerate_cliques(self) -> list[frozenset]:
+        """Pivoted Bron-Kerbosch. Blocks without an edge join every clique and
+        stay out of the recursion; inside it, a candidate compatible with all
+        other candidates is in every maximal clique of its branch, so it is
+        taken without branching. Any pivot yields each maximal clique once;
+        the one with the fewest edges is the cheap pick."""
         incompat = self._incompat
-        empty: set = set()
-        vertices = set(self.active)
+        degree = {v: len(edges) for v, edges in incompat.items() if edges}
         results: list[frozenset] = []
         cap = self.clique_cap
 
-        def comp_neighbors(v: bytes) -> set:
-            return vertices - incompat.get(v, empty) - {v}
-
         def bk(r: list, p: set, x: set) -> None:
-            if not p and not x:
-                results.append(frozenset(r))
-                if len(results) > cap:
-                    raise CliqueExplosion(f"more than {cap} maximal cliques")
+            free = [v for v in p if p.isdisjoint(incompat[v])]
+            r = r + free
+            p = p.difference(free)
+            for v in free:
+                x = x - incompat[v]
+            if not p:
+                if not x:
+                    results.append(frozenset(r))
+                    if len(results) > cap:
+                        raise CliqueExplosion(f"more than {cap} maximal cliques")
                 return
-            pivot = max(p | x, key=lambda u: len(p) - len(p & incompat.get(u, empty)))
-            ext = p & (incompat.get(pivot, empty) | {pivot})
-            for v in list(ext):
-                nv = comp_neighbors(v)
-                bk(r + [v], p & nv, x & nv)
-                p.remove(v)
+            pivot = min(p | x, key=degree.__getitem__)
+            ext = p & (incompat[pivot] | {pivot})
+            for v in ext:
+                edges = incompat[v]
+                rest = p - edges
+                rest.discard(v)
+                bk(r + [v], rest, x - edges)
+                p.discard(v)
                 x.add(v)
 
-        bk([], set(vertices), set())
+        bk([v for v in self.active if v not in degree], set(degree), set())
         return results
 
     @property
@@ -418,7 +419,6 @@ class CompatibilityState:
 
     def _remove(self, bid: bytes, stale: bool) -> None:
         meta = self.active.pop(bid)
-        del self._thread_active[meta.thread][bid]
         self._total_fitness -= meta.fitness
         edges = self._incompat.pop(bid, None)
         if edges:

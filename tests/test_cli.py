@@ -128,6 +128,14 @@ class TestAttackCommand:
         assert ((tmp_path / "a" / "sweep.csv").read_bytes()
                 == (tmp_path / "b" / "sweep.csv").read_bytes())
 
+    @pytest.mark.parametrize("sweep", ["foo=0.1:0.3:0.1", "start=-6:-2:2"])
+    def test_sweep_rejects_keys_it_cannot_sweep(self, sweep, capsys):
+        assert run(["attack", "--beta", "0.3", "--mu", "0.01", "--F", "8", "--E", "0",
+                    "--sweep", sweep]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "beta, mu, F, E" in captured.err
+
     def test_threshold_manifest_records_e(self, tmp_path, capsys):
         assert run(["attack", "--threshold", "--mu", "0.01", "--E", "3",
                     "--out", str(tmp_path)]) == 0
@@ -195,6 +203,25 @@ class TestReplayCommand:
         captured = capsys.readouterr()
         assert "structural violation" in captured.err
         assert json.loads(captured.out.splitlines()[0])["status"] == "invalid"
+
+    def test_no_validate_ancestor_inconsistent_trace(self, tmp_path, capsys):
+        # e names g0 as its thread-0 parent, yet its thread-1 parent c
+        # descends from a, which sits above g0 in thread 0
+        p = ProtocolParams(thread_count=2, slot_interval=4.0, max_block_size=10_000,
+                           finality=3, endorsement_slots=0)
+        from blockclique.chain import Block, Slot
+        g = [make_genesis(t) for t in range(2)]
+        a = Block(slot=Slot(0, 1), creator=1, parents=(g[0].id, g[1].id), size_bits=100)
+        c = Block(slot=Slot(1, 1), creator=1, parents=(a.id, g[1].id), size_bits=100)
+        e = Block(slot=Slot(0, 2), creator=1, parents=(g[0].id, c.id), size_bits=100)
+        trace = tmp_path / "trace.jsonl"
+        self._write_trace(trace, p, [a, c, e])
+        argv = ["replay", "--trace", str(trace), "--override", "T=2", "F=3", "E=0",
+                "t0=4", "S_B=10000"]
+        assert run(argv) == 4
+        capsys.readouterr()
+        assert run(argv + ["--no-validate"]) in (0, 2, 3, 4)
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
     def test_unresolved_cycle_attempt(self, tmp_path, capsys):
         p = ProtocolParams(thread_count=2, slot_interval=4.0, max_block_size=10_000,

@@ -348,6 +348,37 @@ class TestOracleEquivalence:
                 assert engine.stale_set == snap["stale"]
 
 
+class TestAncestry:
+    """The own-thread walk finds exactly the active ancestors that a
+    brute-force search over all parents finds, and no active ancestor is
+    grandpa-incompatible with its descendant, which lets the admission scan
+    skip them."""
+
+    @staticmethod
+    def _check_walks(p, blocks):
+        engine = CompatibilityState(p)
+        reference = OracleConsensus(p)
+        for b in blocks:
+            engine.add_block(b)
+            reference.meta[b.id] = engine._meta[b.id]
+            active = engine.active
+            for bid, meta in active.items():
+                walk = engine._ancestors(meta)
+                assert walk == reference._ancestors(bid) & active.keys()
+                for aid in walk:
+                    assert not engine._gpi(meta, active[aid])
+
+    def test_random_instances(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            self._check_walks(*random_instance(rng, max_blocks=16))
+
+    def test_honest_instances(self):
+        rng = random.Random(37)
+        for _ in range(12):
+            self._check_walks(*honest_instance(rng))
+
+
 class TestReplay:
     def _trace(self, blocks, p):
         buf = io.StringIO()
