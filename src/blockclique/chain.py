@@ -440,14 +440,14 @@ def validate_block_structure(block: Block, store: BlockStore,
     # parent must lie on the own-thread chain of the declared parent in tau.
     # Stored parents passed this check themselves, so a parent's latest
     # thread-tau ancestor is its own thread-tau parent, and a genesis parent
-    # outside tau has none.
-    for tau, ref in enumerate(parents):
+    # outside tau has none. Each distinct ancestor is checked once, in parent
+    # order; the declared parent's own parent is covered by it.
+    columns = zip(*(parent.parents for parent in parents if not parent.is_genesis))
+    for tau, column in enumerate(columns):
         ref_id = block.parents[tau]
-        for parent in parents:
-            if parent is ref or parent.is_genesis:
-                continue
-            anc_id = parent.parents[tau]
-            if anc_id != ref_id and not store._chain_covers(store.blocks[anc_id], ref):
+        for anc_id in dict.fromkeys(column):
+            if anc_id != ref_id and not store._chain_covers(store.blocks[anc_id],
+                                                            parents[tau]):
                 violations.append(
                     f"ancestor {anc_id.hex()[:12]} in thread {tau} is not covered "
                     f"by the declared parent"

@@ -75,7 +75,6 @@ class CompatibilityState:
         self.active: dict[bytes, HeaderMeta] = {}
         self._incompat: dict[bytes, set[bytes]] = {}
         self._edge_count = 0
-        self._children: dict[bytes, list[bytes]] = {}
         self._desc_fitness: dict[bytes, int] = {}
         self._latest_final: list[Optional[tuple[int, bytes]]] = [None] * params.thread_count
         self.final_set: set[bytes] = set()
@@ -168,10 +167,11 @@ class CompatibilityState:
 
         incompat = self._incompat
         active_parents = [p for p in meta.parents if p in self.active]
-        # parents carrying mutual conflicts make the block permanently stale
-        for i, p1 in enumerate(active_parents):
-            edges = incompat.get(p1)
-            if edges and any(p2 in edges for p2 in active_parents[i + 1:]):
+        # parents carrying mutual conflicts make the block permanently stale;
+        # edges are symmetric, so one test per parent covers every pair
+        for p in active_parents:
+            edges = incompat.get(p)
+            if edges and not edges.isdisjoint(active_parents):
                 self.stale_set.add(meta.id)
                 return STATUS_STALE
 
@@ -180,20 +180,20 @@ class CompatibilityState:
         # chain, so it covers x.own_parent and differs from it
         ancestors = self._ancestors(meta)
         ti, gpi = self._ti, self._gpi
-        direct = [x for x in self.active.values()
-                  if x.id not in ancestors and (ti(meta, x) or gpi(meta, x))]
+        direct = {x.id for x in self.active.values()
+                  if x.id not in ancestors and (ti(meta, x) or gpi(meta, x))}
 
         conflicts: set[bytes] = set()
         for p in active_parents:
             edges = incompat.get(p)
             if edges:
                 conflicts |= edges
-        for x in direct:
-            if x.id not in conflicts:
-                conflicts.add(x.id)
-                # descendants of x inherit the new edge
-                for d in self._descendants(x):
-                    conflicts.add(d.id)
+        # descendants of a direct conflict inherit the new edge; those of a
+        # parent's conflict are in that parent's edges already
+        seeds = direct - conflicts
+        if seeds:
+            conflicts |= seeds
+            conflicts.update(self._descendants(seeds))
         if any(p in conflicts for p in meta.parents):
             # incompatible with one of its own parents under the recursive rule
             self.stale_set.add(meta.id)
@@ -219,7 +219,9 @@ class CompatibilityState:
         final tip (a deeper final parent has a final sibling above it), and
         wherever another thread's parent z is final below that thread's tip,
         every final above z's direct child must reference an own-thread
-        ancestor the new block also covers."""
+        ancestor the new block also covers. A final parent that the walk down
+        from its thread's final tip does not meet (only unvalidated headers
+        make one) counts as a conflict."""
         meta_map = self._meta
         final = self.final_set
         t = meta.thread
@@ -235,6 +237,8 @@ class CompatibilityState:
             tip_id = self._latest_final[tau][1]
             cur = meta_map[tip_id]
             while cur.id != pid:
+                if cur.is_genesis:
+                    return False
                 if cur.own_parent != pid:
                     ref = meta_map[cur.parents[t]]
                     if not self._covers(z_t, ref):
@@ -252,26 +256,19 @@ class CompatibilityState:
         fit = meta.fitness
         for aid in ancestors:
             desc[aid] += fit
-        for p in meta.parents:
-            if p in self.active:
-                self._children.setdefault(p, []).append(bid)
 
-    def _descendants(self, meta: HeaderMeta) -> list[HeaderMeta]:
-        """All active blocks having ``meta`` as a strict ancestor."""
-        out: list[HeaderMeta] = []
-        seen: set[bytes] = set()
-        stack = list(self._children.get(meta.id, ()))
-        active = self.active
-        while stack:
-            cid = stack.pop()
-            if cid in seen:
-                continue
-            seen.add(cid)
-            cm = active.get(cid)
-            if cm is None:
-                continue
-            out.append(cm)
-            stack.extend(self._children.get(cid, ()))
+    def _descendants(self, seeds: set[bytes]) -> list[bytes]:
+        """Ids of active blocks having an active seed as a strict ancestor,
+        in one pass over ``active``. Its insertion order is parent-first, as
+        a block is admitted after its parents, and a path between two active
+        blocks runs through active blocks only: ancestors of an active block
+        are never stale, and descendants of one are never final."""
+        reach = set(seeds)
+        out: list[bytes] = []
+        for bid, meta in self.active.items():
+            if not reach.isdisjoint(meta.parents):
+                reach.add(bid)
+                out.append(bid)
         return out
 
     def _ancestors(self, meta: HeaderMeta) -> set[bytes]:
@@ -369,7 +366,7 @@ class CompatibilityState:
         threshold = self.threshold
         incompat = self._incompat
 
-        newly_stale: dict[bytes, None] = {}
+        newly_stale: set[bytes] = set()
         if len(cliques) > 1:
             best_fit: dict[bytes, int] = {}
             for members, fit in cliques:
@@ -377,30 +374,31 @@ class CompatibilityState:
                     if fit > best_fit.get(m, -1):
                         best_fit[m] = fit
             cutoff = bc_fitness - threshold
-            for bid in self.active:
-                if best_fit.get(bid, 0) < cutoff:
-                    newly_stale[bid] = None
-            for bid in list(newly_stale):
-                for d in self._descendants(self.active[bid]):
-                    newly_stale[d.id] = None
+            newly_stale = {bid for bid in self.active if best_fit.get(bid, 0) < cutoff}
+            if newly_stale:
+                newly_stale.update(self._descendants(newly_stale))
 
         newly_final: list[bytes] = []
         desc = self._desc_fitness
         if len(cliques) == 1:
-            for bid in self.active:
-                if bid not in newly_stale and not incompat.get(bid) \
-                        and desc[bid] > threshold:
-                    newly_final.append(bid)
+            newly_final = [bid for bid in self.active
+                           if not incompat.get(bid) and desc[bid] > threshold]
         else:
+            # an edge-free block is in every clique; the fitness of its
+            # descendants inside a clique is its exact _desc_fitness minus
+            # that of those outside, which all have edges. y descends from x
+            # iff y's parent in x's thread covers x
+            meta_map, covers = self._meta, self._covers
+            outsiders = [[meta_map[v] for v, edges in incompat.items()
+                          if edges and v not in members] for members, _ in cliques]
             for bid in self.active:
                 if bid in newly_stale or incompat.get(bid) or desc[bid] <= threshold:
                     continue
-                dset = {d.id for d in self._descendants(self.active[bid])}
-                for members, _ in cliques:
-                    acc = 0
-                    for d in dset & members:
-                        acc += self.active[d].fitness
-                    if acc > threshold:
+                x = meta_map[bid]
+                for out in outsiders:
+                    outside = sum(y.fitness for y in out
+                                  if covers(x, meta_map[y.parents[x.thread]]))
+                    if desc[bid] - outside > threshold:
                         newly_final.append(bid)
                         break
 
@@ -427,7 +425,6 @@ class CompatibilityState:
                 if oset is not None:
                     oset.discard(bid)
                     self._edge_count -= 1
-        self._children.pop(bid, None)
         self._desc_fitness.pop(bid, None)
         if stale:
             self.stale_set.add(bid)

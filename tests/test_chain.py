@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -138,6 +140,25 @@ def mk_block(store, thread, period, parents, **kw):
                  parents=tuple(parents), size_bits=kw.pop("size_bits", 100), **kw)
 
 
+def pairwise_ancestor_violations(block, store):
+    """Reference for validation's ancestor-consistency messages: every
+    (thread, parent) pair is checked, T² per block, stopping at the first
+    uncovered ancestor of each thread."""
+    parents = [store.get(pid) for pid in block.parents]
+    out = []
+    for tau, ref in enumerate(parents):
+        ref_id = block.parents[tau]
+        for parent in parents:
+            if parent is ref or parent.is_genesis:
+                continue
+            anc_id = parent.parents[tau]
+            if anc_id != ref_id and not store._chain_covers(store.blocks[anc_id], ref):
+                out.append(f"ancestor {anc_id.hex()[:12]} in thread {tau} is not "
+                           f"covered by the declared parent")
+                break
+    return out
+
+
 class TestValidation:
     def test_valid_block_accepted(self):
         p, store = chain_fixture()
@@ -213,6 +234,31 @@ class TestValidation:
         b2 = Block(slot=Slot(0, 1), creator=1, parents=tuple(store.genesis_ids),
                    endorsements=(bad,), size_bits=100)
         assert any("own-thread parent" in v for v in validate_block_structure(b2, store, p))
+
+    @pytest.mark.parametrize("t", [1, 2, 4, 8])
+    def test_ancestor_messages_match_pairwise_reference(self, t):
+        # random parents per thread, mostly recent ones, and some own-thread
+        # periods that are not larger; blocks carry no transactions and no
+        # endorsements, so ancestor messages end the violation list
+        rng = random.Random(t)
+        p, store = chain_fixture(params(t=t))
+        pools = [[gid] for gid in store.genesis_ids]
+        flagged = 0
+        for _ in range(1000):
+            tau = rng.randrange(t)
+            parents = [pool[-1] if rng.random() < 0.8 else rng.choice(pool)
+                       for pool in pools]
+            period = max(1, store.get(parents[tau]).slot.period + rng.choice([0, 1, 1, 2]))
+            b = mk_block(store, tau, period, parents, creator=rng.randrange(8))
+            got = validate_block_structure(b, store, p)
+            expected = pairwise_ancestor_violations(b, store)
+            assert got[len(got) - len(expected):] == expected
+            assert not any(v.startswith("ancestor ") for v in got[:len(got) - len(expected)])
+            flagged += bool(expected)
+            if not got and b.id not in store:
+                store.receive(b)
+                pools[tau].append(b.id)
+        assert flagged > 100 or t == 1
 
 
 class TestBlockStore:

@@ -223,6 +223,51 @@ class TestReplayCommand:
         assert run(argv + ["--no-validate"]) in (0, 2, 3, 4)
         assert len(capsys.readouterr().out.splitlines()) == 3
 
+    def test_no_validate_final_parent_off_final_chain(self, tmp_path, capsys):
+        # b0 is a non-genesis block at period 0 in thread 1. Once b0 and g1
+        # are final, g1 stays thread 1's final tip, so the walk down from it
+        # to b3's final parent b0 reaches genesis without meeting b0
+        p = ProtocolParams(thread_count=2, slot_interval=4.0, max_block_size=10_000,
+                           finality=1, endorsement_slots=0)
+        from blockclique.chain import Block, Slot
+        g0, g1 = (make_genesis(t).id for t in range(2))
+        b0 = Block(slot=Slot(1, 0), creator=5, parents=(g0, g1), size_bits=100)
+        b1 = Block(slot=Slot(0, 1), creator=3, parents=(g0, b0.id), size_bits=100)
+        b2 = Block(slot=Slot(1, 1), creator=0, parents=(b1.id, b0.id), size_bits=100)
+        b3 = Block(slot=Slot(0, 2), creator=0, parents=(g0, b0.id), size_bits=100)
+        trace = tmp_path / "trace.jsonl"
+        self._write_trace(trace, p, [b0, b1, b2, b3])
+        argv = ["replay", "--trace", str(trace), "--override", "T=2", "F=1", "E=0",
+                "t0=4", "S_B=10000", "--no-validate"]
+        assert run(argv) in (0, 2, 3, 4)
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
+    def test_no_validate_random_traces_never_raise(self, tmp_path, capsys):
+        # per thread, each parent is any block made so far in that thread,
+        # and each period is the largest so far plus 0 or 1: own-thread
+        # parents need not be older, and ancestors need not be consistent
+        from blockclique.chain import Block, Slot
+        rng = random.Random(5)
+        trace = tmp_path / "trace.jsonl"
+        for _ in range(300):
+            f = rng.choice([1, 2])
+            pools = [[make_genesis(t).id] for t in range(4)]
+            top = 0
+            blocks = []
+            for _ in range(rng.randint(4, 24)):
+                tau = rng.randrange(4)
+                top += rng.randint(0, 1)
+                b = Block(slot=Slot(tau, top), creator=rng.randrange(8),
+                          parents=tuple(rng.choice(pool) for pool in pools),
+                          size_bits=100)
+                pools[tau].append(b.id)
+                blocks.append(b)
+            self._write_trace(trace, ProtocolParams(thread_count=4), blocks)
+            argv = ["replay", "--trace", str(trace), "--override", "T=4", f"F={f}",
+                    "E=0", "t0=4", "S_B=10000", "--no-validate"]
+            assert run(argv) in (0, 2, 3, 4)
+            capsys.readouterr()
+
     def test_unresolved_cycle_attempt(self, tmp_path, capsys):
         p = ProtocolParams(thread_count=2, slot_interval=4.0, max_block_size=10_000,
                            finality=3, endorsement_slots=0)

@@ -352,7 +352,9 @@ class TestAncestry:
     """The own-thread walk finds exactly the active ancestors that a
     brute-force search over all parents finds, and no active ancestor is
     grandpa-incompatible with its descendant, which lets the admission scan
-    skip them."""
+    skip them. The one-pass descendant search finds exactly the active
+    descendants, and the descendant fitness is exactly their sum, which
+    multi-clique finality reads as is."""
 
     @staticmethod
     def _check_walks(p, blocks):
@@ -362,11 +364,15 @@ class TestAncestry:
             engine.add_block(b)
             reference.meta[b.id] = engine._meta[b.id]
             active = engine.active
+            above = {bid: reference._ancestors(bid) for bid in active}
             for bid, meta in active.items():
                 walk = engine._ancestors(meta)
-                assert walk == reference._ancestors(bid) & active.keys()
+                assert walk == above[bid] & active.keys()
                 for aid in walk:
                     assert not engine._gpi(meta, active[aid])
+                below = sorted(d for d in active if bid in above[d])
+                assert sorted(engine._descendants({bid})) == below
+                assert engine._desc_fitness[bid] == sum(active[d].fitness for d in below)
 
     def test_random_instances(self):
         rng = random.Random(31)
