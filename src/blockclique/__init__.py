@@ -7,6 +7,7 @@ from .chain import (
     Block,
     BlockStore,
     Endorsement,
+    HeaderMeta,
     Ledger,
     ProtocolParams,
     Slot,
@@ -14,13 +15,14 @@ from .chain import (
     apply_block_to_ledger,
     decode_block,
     encode_block,
+    fitness,
     make_genesis,
     slot_timestamp,
     thread_of_address,
     validate_block_structure,
 )
-from .consensus import CompatibilityState, HeaderMeta, replay_trace
-from .selection import SelectionOracle, fitness
+from .consensus import CompatibilityState, replay_trace
+from .selection import SelectionOracle
 from .security import (
     FitnessChain,
     ThreatModel,

@@ -1,5 +1,6 @@
 """Core domain types for the multithreaded block DAG: protocol parameters,
-slots, addresses, transactions, blocks, the block store, and the balance ledger.
+slots, addresses, transactions, blocks and their headers, the own-thread
+chain walk, the block store, and the balance ledger.
 
 Canonical block serialization (the wire format, all integers big-endian):
 
@@ -23,7 +24,7 @@ import logging
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import InsufficientBalance, MissingParent, StructuralViolation, UnknownBlock
 
@@ -291,12 +292,55 @@ def make_genesis(thread: int) -> Block:
     return Block(slot=Slot(thread, 0), creator=0, parents=(), size_bits=0, tx_count=0)
 
 
+def fitness(block: Block) -> int:
+    """Block fitness: one for the block itself plus one per filled
+    endorsement slot."""
+    return 1 + len(block.endorsements)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class HeaderMeta:
+    """Immutable header facts of one block: what validation and consensus
+    read. Each process keeps one map from block id to header, so that
+    ``covers`` may compare headers by identity."""
+
+    id: bytes
+    thread: int
+    period: int
+    creator: int
+    parents: tuple[bytes, ...]
+    own_parent: Optional[bytes]
+    fitness: int
+    is_genesis: bool
+
+    @classmethod
+    def from_block(cls, block: Block) -> "HeaderMeta":
+        """Raises ValueError when a non-genesis block has no parent in its
+        own thread (only unvalidated headers lack one)."""
+        if not block.is_genesis and block.thread >= len(block.parents):
+            raise ValueError(f"block {block.id.hex()[:12]} in thread {block.thread} "
+                             f"has {len(block.parents)} parents")
+        own = None if block.is_genesis else block.parents[block.thread]
+        return cls(block.id, block.thread, block.slot.period, block.creator, block.parents,
+                   own, fitness(block), block.is_genesis)
+
+
+def covers(headers: Mapping[bytes, HeaderMeta], anc: HeaderMeta, tip: HeaderMeta) -> bool:
+    """Whether ``anc`` is ``tip`` or lies on its own-thread chain: walk the
+    own-thread parents of ``tip`` down to ``anc``'s period."""
+    cur = tip
+    while cur.period > anc.period:
+        cur = headers[cur.own_parent]
+    return cur is anc
+
+
 class BlockStore:
-    """Single-owner store of structurally valid blocks.
+    """Single-owner store of the headers of structurally valid blocks.
 
     Blocks whose parents are unknown are buffered in a bounded waiting pool and
     re-processed when the missing parents arrive. Genesis blocks are seeded at
-    construction.
+    construction. ``headers`` is the process's header map, which a consensus
+    state may share.
     """
 
     def __init__(self, params: ProtocolParams, oracle=None, validate: bool = True,
@@ -305,42 +349,29 @@ class BlockStore:
         self.oracle = oracle
         self.validate = validate
         self.max_pending = max_pending
-        self.blocks: dict[bytes, Block] = {}
+        self.headers: dict[bytes, HeaderMeta] = {}
         self._waiting: dict[bytes, list[bytes]] = {}   # missing id -> waiting block ids
         self._pending: dict[bytes, Block] = {}         # waiting block id -> block
         self.rejected: list[tuple[bytes, list[str]]] = []
         self.dropped_pending = 0
         self.genesis_ids: list[bytes] = []
         for tau in range(params.thread_count):
-            g = make_genesis(tau)
+            g = HeaderMeta.from_block(make_genesis(tau))
             self.genesis_ids.append(g.id)
-            self.blocks[g.id] = g
+            self.headers[g.id] = g
 
     def __contains__(self, block_id: bytes) -> bool:
-        return block_id in self.blocks
+        return block_id in self.headers
 
-    def get(self, block_id: bytes) -> Block:
+    def get(self, block_id: bytes) -> HeaderMeta:
         try:
-            return self.blocks[block_id]
+            return self.headers[block_id]
         except KeyError:
             raise UnknownBlock(block_id.hex()) from None
-
-    def __len__(self) -> int:
-        return len(self.blocks)
 
     @property
     def pending_count(self) -> int:
         return len(self._pending)
-
-    def _chain_covers(self, ancestor: Block, tip: Block) -> bool:
-        """Whether ``ancestor`` lies on ``tip``'s own-thread chain. Own-thread
-        periods strictly decrease along a stored chain down to genesis."""
-        thread = tip.slot.thread
-        period = ancestor.slot.period
-        cur = tip
-        while cur.slot.period > period:
-            cur = self.blocks[cur.parents[thread]]
-        return cur.id == ancestor.id
 
     def receive(self, block: Block) -> list[Block]:
         """Accept a block, buffering it if parents are missing.
@@ -349,15 +380,17 @@ class BlockStore:
         (the given block plus any waiting blocks it unblocked). Raises
         StructuralViolation when the given block itself is permanently
         invalid; invalid blocks released from the waiting pool are dropped
-        and recorded in ``rejected``.
+        and recorded in ``rejected``. Without validation, a header that
+        ``HeaderMeta.from_block`` cannot read raises ValueError.
         """
-        if block.id in self.blocks or block.id in self._pending:
+        headers = self.headers
+        if block.id in headers or block.id in self._pending:
             return []
         accepted: list[Block] = []
         queue = [(block, True)]
         while queue:
             blk, direct = queue.pop(0)
-            missing = [p for p in blk.parents if p not in self.blocks]
+            missing = [p for p in blk.parents if p not in headers]
             if missing:
                 self._buffer(blk, missing)
                 continue
@@ -370,13 +403,13 @@ class BlockStore:
                     log.warning("dropped invalid buffered block %s: %s",
                                 blk.id.hex()[:16], "; ".join(violations))
                     continue
-            self.blocks[blk.id] = blk
+            headers[blk.id] = HeaderMeta.from_block(blk)
             accepted.append(blk)
             # release any blocks that were waiting on this one
             for rid in self._waiting.pop(blk.id, ()):
                 pending = self._pending.get(rid)
                 if pending is not None and not any(
-                    p not in self.blocks for p in pending.parents
+                    p not in headers for p in pending.parents
                 ):
                     del self._pending[rid]
                     queue.append((pending, False))
@@ -433,7 +466,7 @@ def validate_block_structure(block: Block, store: BlockStore,
     if violations:
         return violations
     own = parents[block.thread]
-    if own.slot.period >= block.slot.period:
+    if own.period >= block.slot.period:
         violations.append("own-thread parent period is not strictly smaller")
 
     # Ancestor consistency: every thread-tau ancestor reachable through any
@@ -442,12 +475,12 @@ def validate_block_structure(block: Block, store: BlockStore,
     # thread-tau ancestor is its own thread-tau parent, and a genesis parent
     # outside tau has none. Each distinct ancestor is checked once, in parent
     # order; the declared parent's own parent is covered by it.
+    headers = store.headers
     columns = zip(*(parent.parents for parent in parents if not parent.is_genesis))
     for tau, column in enumerate(columns):
         ref_id = block.parents[tau]
         for anc_id in dict.fromkeys(column):
-            if anc_id != ref_id and not store._chain_covers(store.blocks[anc_id],
-                                                            parents[tau]):
+            if anc_id != ref_id and not covers(headers, headers[anc_id], parents[tau]):
                 violations.append(
                     f"ancestor {anc_id.hex()[:12]} in thread {tau} is not covered "
                     f"by the declared parent"

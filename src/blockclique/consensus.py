@@ -24,9 +24,8 @@ from __future__ import annotations
 import logging
 from typing import Iterable, Optional
 
-from .chain import Block, BlockStore, ProtocolParams, read_trace
-from .errors import CliqueExplosion, StructuralViolation, UnknownBlock, UnprocessedParent
-from .selection import fitness
+from .chain import Block, BlockStore, HeaderMeta, ProtocolParams, covers, make_genesis, read_trace
+from .errors import CliqueExplosion, StructuralViolation, UnprocessedParent
 
 log = logging.getLogger(__name__)
 
@@ -37,41 +36,23 @@ STATUS_STALE = "stale"
 DEFAULT_CLIQUE_CAP = 1024
 
 
-class HeaderMeta:
-    """Immutable per-block header facts shared by every consensus instance."""
-
-    __slots__ = ("id", "thread", "period", "parents", "own_parent", "fitness", "is_genesis")
-
-    def __init__(self, id: bytes, thread: int, period: int, parents: tuple,
-                 own_parent: Optional[bytes], fit: int, is_genesis: bool):
-        self.id = id
-        self.thread = thread
-        self.period = period
-        self.parents = parents
-        self.own_parent = own_parent
-        self.fitness = fit
-        self.is_genesis = is_genesis
-
-    @classmethod
-    def from_block(cls, block: Block) -> "HeaderMeta":
-        own = None if block.is_genesis else block.parents[block.thread]
-        return cls(block.id, block.thread, block.slot.period, block.parents,
-                   own, fitness(block), block.is_genesis)
-
-
 class CompatibilityState:
     """Single-owner consensus state machine over block headers.
 
     Blocks must be fed in a parent-respecting order (``UnprocessedParent``
     otherwise). Settlement is monotone: once a block id lands in the final or
-    stale set it never moves.
+    stale set it never moves. The active, final and stale sets partition the
+    blocks this state has processed. It reads the process's ``headers`` map
+    (shared by a simulation's states, or with a replay's block store), or
+    owns a private one; a header in the map is not processed until fed.
     """
 
-    def __init__(self, params: ProtocolParams, clique_cap: int = DEFAULT_CLIQUE_CAP):
+    def __init__(self, params: ProtocolParams, clique_cap: int = DEFAULT_CLIQUE_CAP,
+                 headers: Optional[dict[bytes, HeaderMeta]] = None):
         self.params = params
         self.threshold = params.finality_threshold
         self.clique_cap = clique_cap
-        self._meta: dict[bytes, HeaderMeta] = {}
+        self.headers: dict[bytes, HeaderMeta] = {} if headers is None else headers
         self.active: dict[bytes, HeaderMeta] = {}
         self._incompat: dict[bytes, set[bytes]] = {}
         self._edge_count = 0
@@ -81,12 +62,11 @@ class CompatibilityState:
         self.stale_set: set[bytes] = set()
         self._total_fitness = 0
         self._cliques: Optional[list[tuple[frozenset, int]]] = None
-        from .chain import make_genesis
         self.genesis_ids: list[bytes] = []
         for tau in range(params.thread_count):
             g = HeaderMeta.from_block(make_genesis(tau))
+            g = self.headers.setdefault(g.id, g)
             self.genesis_ids.append(g.id)
-            self._meta[g.id] = g
             self._admit(g, ())
 
     # -- queries -------------------------------------------------------------
@@ -100,24 +80,8 @@ class CompatibilityState:
             return STATUS_ACTIVE
         return None
 
-    def path_in_thread(self, a: bytes, b: bytes, thread: int) -> bool:
-        """True iff a equals b or is an ancestor of b along thread-local links."""
-        ma = self._meta.get(a)
-        mb = self._meta.get(b)
-        if ma is None or mb is None:
-            raise UnknownBlock("path query on unknown block")
-        if ma.thread != thread or mb.thread != thread:
-            return False
-        return self._covers(ma, mb)
-
-    def _covers(self, anc: HeaderMeta, tip: HeaderMeta) -> bool:
-        cur = tip
-        while cur.period > anc.period:
-            cur = self._meta[cur.own_parent]
-        return cur is anc
-
     def thread_incompatible(self, id1: bytes, id2: bytes) -> bool:
-        m1, m2 = self._meta[id1], self._meta[id2]
+        m1, m2 = self.headers[id1], self.headers[id2]
         return self._ti(m1, m2)
 
     @staticmethod
@@ -127,16 +91,16 @@ class CompatibilityState:
                 and m1.id != m2.id)
 
     def grandpa_incompatible(self, id1: bytes, id2: bytes) -> bool:
-        m1, m2 = self._meta[id1], self._meta[id2]
+        m1, m2 = self.headers[id1], self.headers[id2]
         return self._gpi(m1, m2)
 
     def _gpi(self, m1: HeaderMeta, m2: HeaderMeta) -> bool:
         if m1.is_genesis or m2.is_genesis or m1.id == m2.id:
             return False
-        meta = self._meta
-        if self._covers(meta[m1.own_parent], meta[m2.parents[m1.thread]]):
+        headers = self.headers
+        if covers(headers, headers[m1.own_parent], headers[m2.parents[m1.thread]]):
             return False
-        if self._covers(meta[m2.own_parent], meta[m1.parents[m2.thread]]):
+        if covers(headers, headers[m2.own_parent], headers[m1.parents[m2.thread]]):
             return False
         return True
 
@@ -149,24 +113,26 @@ class CompatibilityState:
     def extend_meta(self, meta: HeaderMeta) -> str:
         """Insert one header whose parents were processed; returns its status.
         The header is trusted to be ancestor-consistent (module docstring)."""
-        if meta.id in self._meta:
-            return self.status(meta.id)
+        status = self.status(meta.id)
+        if status is not None:
+            return status
+        active, final, stale = self.active, self.final_set, self.stale_set
         for p in meta.parents:
-            if p not in self._meta:
+            if p not in active and p not in final and p not in stale:
                 raise UnprocessedParent(f"parent {p.hex()[:16]} not processed")
-        self._meta[meta.id] = meta
+        meta = self.headers.setdefault(meta.id, meta)
 
-        if any(p in self.stale_set for p in meta.parents):
-            self.stale_set.add(meta.id)
+        if any(p in stale for p in meta.parents):
+            stale.add(meta.id)
             return STATUS_STALE
         if not self._frontier_compatible(meta):
             # in conflict with an already-final block: can never join the
             # blockclique again
-            self.stale_set.add(meta.id)
+            stale.add(meta.id)
             return STATUS_STALE
 
         incompat = self._incompat
-        active_parents = [p for p in meta.parents if p in self.active]
+        active_parents = [p for p in meta.parents if p in active]
         # parents carrying mutual conflicts make the block permanently stale;
         # edges are symmetric, so one test per parent covers every pair
         for p in active_parents:
@@ -180,7 +146,7 @@ class CompatibilityState:
         # chain, so it covers x.own_parent and differs from it
         ancestors = self._ancestors(meta)
         ti, gpi = self._ti, self._gpi
-        direct = {x.id for x in self.active.values()
+        direct = {x.id for x in active.values()
                   if x.id not in ancestors and (ti(meta, x) or gpi(meta, x))}
 
         conflicts: set[bytes] = set()
@@ -196,7 +162,7 @@ class CompatibilityState:
             conflicts.update(self._descendants(seeds))
         if any(p in conflicts for p in meta.parents):
             # incompatible with one of its own parents under the recursive rule
-            self.stale_set.add(meta.id)
+            stale.add(meta.id)
             return STATUS_STALE
 
         self._admit(meta, ancestors)
@@ -222,7 +188,7 @@ class CompatibilityState:
         ancestor the new block also covers. A final parent that the walk down
         from its thread's final tip does not meet (only unvalidated headers
         make one) counts as a conflict."""
-        meta_map = self._meta
+        meta_map = self.headers
         final = self.final_set
         t = meta.thread
         own = meta.own_parent
@@ -241,7 +207,7 @@ class CompatibilityState:
                     return False
                 if cur.own_parent != pid:
                     ref = meta_map[cur.parents[t]]
-                    if not self._covers(z_t, ref):
+                    if not covers(meta_map, z_t, ref):
                         return False
                 cur = meta_map[cur.own_parent]
         return True
@@ -388,7 +354,7 @@ class CompatibilityState:
             # descendants inside a clique is its exact _desc_fitness minus
             # that of those outside, which all have edges. y descends from x
             # iff y's parent in x's thread covers x
-            meta_map, covers = self._meta, self._covers
+            meta_map = self.headers
             outsiders = [[meta_map[v] for v, edges in incompat.items()
                           if edges and v not in members] for members, _ in cliques]
             for bid in self.active:
@@ -397,7 +363,7 @@ class CompatibilityState:
                 x = meta_map[bid]
                 for out in outsiders:
                     outside = sum(y.fitness for y in out
-                                  if covers(x, meta_map[y.parents[x.thread]]))
+                                  if covers(meta_map, x, meta_map[y.parents[x.thread]]))
                     if desc[bid] - outside > threshold:
                         newly_final.append(bid)
                         break
@@ -412,7 +378,8 @@ class CompatibilityState:
                 self._remove(bid, stale=False)
             self._cliques = None
 
-        order = lambda bid: (self._meta[bid].period, self._meta[bid].thread, bid)
+        headers = self.headers
+        order = lambda bid: (headers[bid].period, headers[bid].thread, bid)
         return sorted(newly_final, key=order), sorted(newly_stale, key=order)
 
     def _remove(self, bid: bytes, stale: bool) -> None:
@@ -486,7 +453,7 @@ def replay_trace(fp, params: ProtocolParams, oracle=None, validate: bool = True,
     final blocks, zero for stale or unresolved ones).
     """
     store = BlockStore(params, oracle=oracle, validate=validate)
-    state = CompatibilityState(params, clique_cap=clique_cap)
+    state = CompatibilityState(params, clique_cap=clique_cap, headers=store.headers)
     seen_order: list[bytes] = []
     violations: list[tuple[bytes, list[str]]] = []
     for block in read_trace(fp):

@@ -17,6 +17,9 @@ channel is a FIFO queue, a node relays a block only after processing it, and
 verification costs the same for every block. So a parent reaches every node's
 processing step before its child, and a break in that order raises
 ``UnprocessedParent`` instead of going unnoticed.
+
+A header is a fact every node agrees on: a run keeps one header map, filled
+as blocks are created, that every node's consensus state reads.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .chain import Block, Endorsement, ProtocolParams, Slot, slot_timestamp
-from .consensus import CompatibilityState, HeaderMeta
+from .chain import Block, Endorsement, HeaderMeta, ProtocolParams, Slot, slot_timestamp
+from .consensus import CompatibilityState
 from .errors import InsufficientData, TopologyError
 from .selection import SelectionOracle
 
@@ -290,15 +293,14 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
     oracle = SelectionOracle(_derive_seed(cfg.seed, "blockclique.sim.selection"),
                              cfg.node_count)
     miss_seed = _derive_seed(cfg.seed, "blockclique.sim.miss")
-    states = [CompatibilityState(params) for _ in range(cfg.node_count)]
+    headers: dict[bytes, HeaderMeta] = {}
+    states = [CompatibilityState(params, headers=headers) for _ in range(cfg.node_count)]
     seen: list[set[bytes]] = [set() for _ in range(cfg.node_count)]
     send_queue: list[deque] = [deque() for _ in range(cfg.node_count)]
     sending = [False] * cfg.node_count
     half_needed = math.ceil(cfg.node_count / 2)
     prop: Optional[dict[bytes, list]] = {} if collect_propagation else None
 
-    blocks: dict[bytes, Block] = {}
-    metas: dict[bytes, HeaderMeta] = {}
     created_at: dict[bytes, float] = {}
     holders: dict[bytes, int] = {}
     half_at: dict[bytes, float] = {}
@@ -309,6 +311,8 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
     transmissions = 0
 
     wire_extra = params.endorsement_slots * cfg.tx_size if cfg.endorsements_enabled else 0
+    # every simulated block is full
+    wire_bits = params.max_block_size + wire_extra
     tx_count = cfg.tx_per_block
     verify_cost = cfg.block_verify_time + tx_count * cfg.tx_verify_time
 
@@ -343,7 +347,7 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
             dst, lat, bid = q.popleft()
             if bid in seen[dst]:
                 continue
-            done = now + (blocks[bid].size_bits + wire_extra) / topo.bandwidths[sender]
+            done = now + wire_bits / topo.bandwidths[sender]
             sending[sender] = True
             transmissions += 1
             heapq.heappush(heap, (done, seq, _EV_SEND_DONE, sender, None))
@@ -360,17 +364,16 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
             max_lag = lag
         relay(node_idx, block_id, now)
         state = states[node_idx]
-        state.extend_meta(metas[block_id])
+        state.extend_meta(headers[block_id])
         final, stale = state.update_finality()
         cliques = len(state.maximal_cliques())
         if cliques > max_cliques:
             max_cliques = cliques
-        for bid in final:
-            if bid in blocks and blocks[bid].creator == node_idx and bid not in settle:
-                settle[bid] = ("final", now)
-        for bid in stale:
-            if bid in blocks and blocks[bid].creator == node_idx and bid not in settle:
-                settle[bid] = ("stale", now)
+        for verdict, settled in (("final", final), ("stale", stale)):
+            for bid in settled:
+                meta = headers[bid]
+                if meta.creator == node_idx and not meta.is_genesis and bid not in settle:
+                    settle[bid] = (verdict, now)
 
     while heap:
         now, _, kind, a, b = heapq.heappop(heap)
@@ -396,8 +399,7 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
                           endorsements=endorsements, size_bits=params.max_block_size,
                           tx_count=tx_count)
             bid = block.id
-            blocks[bid] = block
-            metas[bid] = HeaderMeta.from_block(block)
+            headers[bid] = HeaderMeta.from_block(block)
             created_at[bid] = now
             holders[bid] = 1
             if half_needed <= 1:
@@ -436,7 +438,7 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
         verdict, when = settle.get(bid, (None, None))
         if verdict == "final":
             finals += 1
-            final_tx += blocks[bid].tx_count
+            final_tx += tx_count
             conf_times.append(when - created_at[bid])
         elif verdict == "stale":
             stales += 1
@@ -445,8 +447,8 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
         if records is not None:
             records.append({
                 "id": bid.hex(),
-                "thread": blocks[bid].slot.thread,
-                "period": blocks[bid].slot.period,
+                "thread": headers[bid].thread,
+                "period": headers[bid].period,
                 "created": created_at[bid],
                 "half_propagation": half_at[bid] - created_at[bid] if bid in half_at else None,
                 "settled": when,

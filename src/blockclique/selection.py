@@ -1,4 +1,4 @@
-"""Deterministic Sybil-resistant selection oracle and block fitness.
+"""Deterministic Sybil-resistant selection oracle.
 
 Draws are a wire-format constant shared by every implementation: the draw for
 (seed, slot, role, index) hashes the domain tag ``blockclique.select.v1``
@@ -19,7 +19,7 @@ import json
 import struct
 from typing import Iterable, Sequence
 
-from .chain import Block, Slot
+from .chain import Slot
 
 ROLE_BLOCK = 0
 ROLE_ENDORSEMENT = 1
@@ -93,8 +93,3 @@ class SelectionOracle:
                 }
                 fp.write(json.dumps(rec, sort_keys=True) + "\n")
 
-
-def fitness(block: Block) -> int:
-    """Block fitness: one for the block itself plus one per filled
-    endorsement slot."""
-    return 1 + len(block.endorsements)

@@ -35,7 +35,7 @@ def random_instance(rng: random.Random, max_blocks: int = 20):
             else:
                 parents.append(rng.choice(pool))
         own = store.get(parents[tau])
-        period = own.slot.period + rng.choice([1, 1, 1, 2])
+        period = own.period + rng.choice([1, 1, 1, 2])
         n_end = rng.randint(0, e) if e else 0
         slot = Slot(tau, period)
         endorsements = tuple(
@@ -94,7 +94,7 @@ def honest_instance(rng: random.Random, steps: int | None = None):
     guard = 0
 
     def emit(parents, tau, n_end, size):
-        own = engine._meta[parents[tau]]
+        own = engine.headers[parents[tau]]
         slot = Slot(tau, own.period + 1)
         ends = tuple(Endorsement(parents[tau], slot, i, creator=rng.randrange(4))
                      for i in range(n_end))

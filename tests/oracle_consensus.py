@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from blockclique.consensus import HeaderMeta
+from blockclique.chain import HeaderMeta
 
 
 class OracleConsensus:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from blockclique.chain import (
     Address, Block, BlockStore, Endorsement, Ledger, ProtocolParams, Slot,
-    Transaction, apply_block_to_ledger, block_to_record, decode_block,
+    Transaction, apply_block_to_ledger, block_to_record, covers, decode_block,
     encode_block, make_genesis, record_to_block, slot_timestamp,
     thread_of_address, validate_block_structure,
 )
@@ -152,7 +152,7 @@ def pairwise_ancestor_violations(block, store):
             if parent is ref or parent.is_genesis:
                 continue
             anc_id = parent.parents[tau]
-            if anc_id != ref_id and not store._chain_covers(store.blocks[anc_id], ref):
+            if anc_id != ref_id and not covers(store.headers, store.headers[anc_id], ref):
                 out.append(f"ancestor {anc_id.hex()[:12]} in thread {tau} is not "
                            f"covered by the declared parent")
                 break
@@ -248,7 +248,7 @@ class TestValidation:
             tau = rng.randrange(t)
             parents = [pool[-1] if rng.random() < 0.8 else rng.choice(pool)
                        for pool in pools]
-            period = max(1, store.get(parents[tau]).slot.period + rng.choice([0, 1, 1, 2]))
+            period = max(1, store.get(parents[tau]).period + rng.choice([0, 1, 1, 2]))
             b = mk_block(store, tau, period, parents, creator=rng.randrange(8))
             got = validate_block_structure(b, store, p)
             expected = pairwise_ancestor_violations(b, store)

@@ -242,6 +242,27 @@ class TestReplayCommand:
         assert run(argv) in (0, 2, 3, 4)
         assert len(capsys.readouterr().out.splitlines()) == 4
 
+    @pytest.mark.parametrize("thread, parent_count", [(1, 1), (5, 2)])
+    def test_no_validate_header_without_own_thread_parent(self, tmp_path, capsys,
+                                                          thread, parent_count):
+        # at T=2, a thread-1 block with one parent and a thread-5 block both
+        # lack a parent in their own thread: validation rejects them, and
+        # without it the header cannot be read
+        p = ProtocolParams(thread_count=2, slot_interval=4.0, max_block_size=10_000,
+                           finality=3, endorsement_slots=0)
+        from blockclique.chain import Block, Slot
+        g = [make_genesis(t).id for t in range(2)]
+        b = Block(slot=Slot(thread, 1), creator=1, parents=tuple(g[:parent_count]),
+                  size_bits=100)
+        trace = tmp_path / "trace.jsonl"
+        self._write_trace(trace, p, [b])
+        argv = ["replay", "--trace", str(trace), "--override", "T=2", "F=3", "E=0",
+                "t0=4", "S_B=10000"]
+        assert run(argv) == 4
+        capsys.readouterr()
+        assert run(argv + ["--no-validate"]) == 2
+        assert "malformed trace" in capsys.readouterr().err
+
     def test_no_validate_random_traces_never_raise(self, tmp_path, capsys):
         # per thread, each parent is any block made so far in that thread,
         # and each period is the largest so far plus 0 or 1: own-thread

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from blockclique.chain import Block, ProtocolParams, Slot, write_trace
+from blockclique.chain import Block, BlockStore, ProtocolParams, Slot, covers, write_trace
 from blockclique.consensus import CompatibilityState, replay_trace
 from blockclique.errors import CliqueExplosion, UnknownBlock, UnprocessedParent
 
@@ -22,35 +22,39 @@ def blk(thread, period, parents, creator=1):
 
 
 class TestPathPredicate:
+    """``chain.covers``, the one own-thread walk, over a store's header map."""
+
     def test_reflexive(self):
-        st = CompatibilityState(params())
-        g0 = st.genesis_ids[0]
-        assert st.path_in_thread(g0, g0, 0)
+        store = BlockStore(params())
+        g0 = store.get(store.genesis_ids[0])
+        assert covers(store.headers, g0, g0)
 
     def test_genesis_reaches_descendants(self):
-        st = CompatibilityState(params())
-        g0, g1 = st.genesis_ids
+        store = BlockStore(params())
+        g0, g1 = store.genesis_ids
         a = blk(0, 1, [g0, g1])
         b = blk(0, 2, [a.id, g1])
-        st.extend(a)
-        st.extend(b)
-        assert st.path_in_thread(g0, b.id, 0)
-        assert not st.path_in_thread(b.id, g0, 0)
+        store.receive(a)
+        store.receive(b)
+        h = store.headers
+        assert covers(h, h[g0], h[b.id])
+        assert not covers(h, h[b.id], h[g0])
 
     def test_siblings_unrelated(self):
-        st = CompatibilityState(params())
-        g0, g1 = st.genesis_ids
+        store = BlockStore(params())
+        g0, g1 = store.genesis_ids
         a = blk(0, 1, [g0, g1])
         b = blk(0, 2, [g0, g1])
-        st.extend(a)
-        st.extend(b)
-        assert not st.path_in_thread(a.id, b.id, 0)
-        assert not st.path_in_thread(b.id, a.id, 0)
+        store.receive(a)
+        store.receive(b)
+        h = store.headers
+        assert not covers(h, h[a.id], h[b.id])
+        assert not covers(h, h[b.id], h[a.id])
 
     def test_unknown_block_raises(self):
-        st = CompatibilityState(params())
+        store = BlockStore(params())
         with pytest.raises(UnknownBlock):
-            st.path_in_thread(bytes(32), st.genesis_ids[0], 0)
+            store.get(bytes(32))
 
 
 class TestIncompatibilityPredicates:
@@ -362,8 +366,12 @@ class TestAncestry:
         reference = OracleConsensus(p)
         for b in blocks:
             engine.add_block(b)
-            reference.meta[b.id] = engine._meta[b.id]
+            reference.meta[b.id] = engine.headers[b.id]
             active = engine.active
+            # "processed" is membership in one of the three sets
+            assert active.keys().isdisjoint(engine.final_set)
+            assert active.keys().isdisjoint(engine.stale_set)
+            assert engine.final_set.isdisjoint(engine.stale_set)
             above = {bid: reference._ancestors(bid) for bid in active}
             for bid, meta in active.items():
                 walk = engine._ancestors(meta)
@@ -383,6 +391,55 @@ class TestAncestry:
         rng = random.Random(37)
         for _ in range(12):
             self._check_walks(*honest_instance(rng))
+
+
+class TestSharedHeaders:
+    """States that share one header map still each process only what they are
+    fed: a shared map changes no state's statuses, cliques or settlement."""
+
+    def test_header_in_map_but_not_processed(self):
+        p = params()
+        headers = {}
+        fed = CompatibilityState(p, headers=headers)
+        other = CompatibilityState(p, headers=headers)
+        g0, g1 = fed.genesis_ids
+        a = blk(0, 1, [g0, g1])
+        child = blk(0, 2, [a.id, g1])
+        fed.extend(a)
+        assert a.id in headers and other.status(a.id) is None
+        with pytest.raises(UnprocessedParent):
+            other.extend(child)
+        assert other.extend(a) == "active"
+        assert other.extend(child) == "active"
+
+    @staticmethod
+    def _outcome(st, blocks):
+        return ([st.status(b.id) for b in blocks], st.maximal_cliques(),
+                st.final_set, st.stale_set)
+
+    def _check_sharing(self, p, blocks, rng):
+        orders = [parent_respecting_shuffle(blocks, rng) for _ in range(3)]
+        headers = {}
+        shared = [CompatibilityState(p, headers=headers) for _ in orders]
+        private = [CompatibilityState(p) for _ in orders]
+        for step in range(len(blocks)):
+            for order, st, ref in zip(orders, shared, private):
+                assert st.add_block(order[step]) == ref.add_block(order[step])
+                assert self._outcome(st, blocks) == self._outcome(ref, blocks)
+                # one header object per id, whichever state read it first
+                assert all(headers[bid] is meta for bid, meta in st.active.items())
+
+    def test_random_instances(self):
+        rng = random.Random(41)
+        for _ in range(30):
+            p, blocks = random_instance(rng, max_blocks=16)
+            self._check_sharing(p, blocks, rng)
+
+    def test_honest_instances(self):
+        rng = random.Random(43)
+        for _ in range(10):
+            p, blocks = honest_instance(rng)
+            self._check_sharing(p, blocks, rng)
 
 
 class TestReplay:

@@ -2,8 +2,8 @@ import io
 import json
 import math
 
-from blockclique.chain import Block, Endorsement, Slot
-from blockclique.selection import SelectionOracle, fitness
+from blockclique.chain import Block, Endorsement, Slot, fitness
+from blockclique.selection import SelectionOracle
 
 
 class TestDraws:
