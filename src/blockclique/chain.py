@@ -71,15 +71,6 @@ class ProtocolParams:
         """Sustained block-data rate in bits per second."""
         return self.thread_count * self.max_block_size / self.slot_interval
 
-    def to_dict(self) -> dict:
-        return {
-            "thread_count": self.thread_count,
-            "slot_interval": self.slot_interval,
-            "max_block_size": self.max_block_size,
-            "finality": self.finality,
-            "endorsement_slots": self.endorsement_slots,
-        }
-
     @classmethod
     def from_dict(cls, d: Mapping) -> "ProtocolParams":
         return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
@@ -315,11 +306,7 @@ class HeaderMeta:
 
     @classmethod
     def from_block(cls, block: Block) -> "HeaderMeta":
-        """Raises ValueError when a non-genesis block has no parent in its
-        own thread (only unvalidated headers lack one)."""
-        if not block.is_genesis and block.thread >= len(block.parents):
-            raise ValueError(f"block {block.id.hex()[:12]} in thread {block.thread} "
-                             f"has {len(block.parents)} parents")
+        """Header of a genesis block or of one that passed ``shape_violations``."""
         own = None if block.is_genesis else block.parents[block.thread]
         return cls(block.id, block.thread, block.slot.period, block.creator, block.parents,
                    own, fitness(block), block.is_genesis)
@@ -332,6 +319,20 @@ def covers(headers: Mapping[bytes, HeaderMeta], anc: HeaderMeta, tip: HeaderMeta
     while cur.period > anc.period:
         cur = headers[cur.own_parent]
     return cur is anc
+
+
+def incompatible(headers: Mapping[bytes, HeaderMeta], a: HeaderMeta, b: HeaderMeta) -> bool:
+    """Whether two headers directly conflict. Genesis and identical headers
+    never do; two blocks of one thread on the same own-thread parent are
+    thread-incompatible; otherwise they are grandpa-incompatible when
+    neither one's parent in the other's thread covers that other's
+    own-thread parent."""
+    if a.is_genesis or b.is_genesis or a.id == b.id:
+        return False
+    if a.thread == b.thread and a.own_parent == b.own_parent:
+        return True
+    return (not covers(headers, headers[a.own_parent], headers[b.parents[a.thread]])
+            and not covers(headers, headers[b.own_parent], headers[a.parents[b.thread]]))
 
 
 class BlockStore:
@@ -381,7 +382,7 @@ class BlockStore:
         StructuralViolation when the given block itself is permanently
         invalid; invalid blocks released from the waiting pool are dropped
         and recorded in ``rejected``. Without validation, a header that
-        ``HeaderMeta.from_block`` cannot read raises ValueError.
+        fails ``shape_violations`` raises ValueError.
         """
         headers = self.headers
         if block.id in headers or block.id in self._pending:
@@ -403,6 +404,10 @@ class BlockStore:
                     log.warning("dropped invalid buffered block %s: %s",
                                 blk.id.hex()[:16], "; ".join(violations))
                     continue
+            elif not blk.is_genesis:
+                shape = shape_violations(blk, headers, self.params.thread_count)
+                if shape:
+                    raise ValueError(f"block {blk.id.hex()[:12]}: {'; '.join(shape)}")
             headers[blk.id] = HeaderMeta.from_block(blk)
             accepted.append(blk)
             # release any blocks that were waiting on this one
@@ -434,6 +439,20 @@ class BlockStore:
             self._waiting.setdefault(m, []).append(block.id)
 
 
+def shape_violations(block: Block, headers: Mapping[bytes, HeaderMeta],
+                     thread_count: int) -> list[str]:
+    """Check the shape of a non-genesis header whose parents are all known:
+    its thread is below T, it names T parents, and parent τ lies in thread τ.
+    Consensus indexes headers by these facts, so a block store admits no
+    header that fails here, with or without validation."""
+    if block.thread >= thread_count:
+        return [f"thread {block.thread} out of range for T={thread_count}"]
+    if len(block.parents) != thread_count:
+        return [f"expected {thread_count} parents, got {len(block.parents)}"]
+    return [f"parent {tau} lies in thread {headers[pid].thread}"
+            for tau, pid in enumerate(block.parents) if headers[pid].thread != tau]
+
+
 def validate_block_structure(block: Block, store: BlockStore,
                              params: ProtocolParams, oracle=None) -> list[str]:
     """Check the structural validity of a block against known blocks.
@@ -447,24 +466,20 @@ def validate_block_structure(block: Block, store: BlockStore,
         if block.id != make_genesis(block.thread).id:
             return ["non-canonical genesis block"]
         return []
-    violations: list[str] = []
-    if block.thread >= t:
-        return [f"thread {block.thread} out of range for T={t}"]
-    if len(block.parents) != t:
-        return [f"expected {t} parents, got {len(block.parents)}"]
     missing = [p for p in block.parents if p not in store]
     if missing:
         raise MissingParent(block.id, missing)
+    headers = store.headers
+    violations = shape_violations(block, headers, t)
+    if violations:
+        return violations
     if block.slot.period < 1:
         violations.append("non-genesis block in period 0")
     if block.size_bits > params.max_block_size:
         violations.append(f"size {block.size_bits} exceeds limit {params.max_block_size}")
-    parents = [store.get(pid) for pid in block.parents]
-    for tau, parent in enumerate(parents):
-        if parent.thread != tau:
-            violations.append(f"parent {tau} lies in thread {parent.thread}")
     if violations:
         return violations
+    parents = [headers[pid] for pid in block.parents]
     own = parents[block.thread]
     if own.period >= block.slot.period:
         violations.append("own-thread parent period is not strictly smaller")
@@ -475,7 +490,6 @@ def validate_block_structure(block: Block, store: BlockStore,
     # thread-tau ancestor is its own thread-tau parent, and a genesis parent
     # outside tau has none. Each distinct ancestor is checked once, in parent
     # order; the declared parent's own parent is covered by it.
-    headers = store.headers
     columns = zip(*(parent.parents for parent in parents if not parent.is_genesis))
     for tau, column in enumerate(columns):
         ref_id = block.parents[tau]

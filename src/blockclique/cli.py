@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .chain import ProtocolParams
@@ -92,17 +92,8 @@ class RunManifest:
 
     def write(self, out_dir: str) -> str:
         path = os.path.join(out_dir, MANIFEST_NAME)
-        payload = {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "started": self.started,
-            "finished": self.finished,
-            "outputs": self.outputs,
-            "build_id": self.build_id,
-        }
         with open(path, "w") as fp:
-            fp.write(canonical_json(payload) + "\n")
+            fp.write(canonical_json(asdict(self)) + "\n")
         return path
 
 
@@ -159,7 +150,7 @@ def cmd_simulate(args) -> int:
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    manifest = RunManifest("simulate", cfg.to_dict(), cfg.seed, started=time.time())
+    manifest = RunManifest("simulate", asdict(cfg), cfg.seed, started=time.time())
     try:
         metrics = run_simulation(cfg, collect_blocks=args.blocks,
                                  collect_propagation=args.prop_trace)
@@ -291,7 +282,7 @@ def cmd_replay(args) -> int:
         except (ValueError, KeyError) as e:
             print(f"config error: {e}", file=sys.stderr)
             return EXIT_CONFIG
-    manifest = RunManifest("replay", params.to_dict(), 0, started=time.time())
+    manifest = RunManifest("replay", asdict(params), 0, started=time.time())
     try:
         with open(args.trace) as fp:
             records, violations = replay_trace(

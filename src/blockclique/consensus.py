@@ -4,10 +4,12 @@ selection, and final/stale settlement.
 Two blocks conflict when they are thread-incompatible (same thread, same
 own-thread parent), grandpa-incompatible (neither covers the other's parent in
 its own thread), or when either descends from a block in conflict with the
-other. Inherited conflicts are materialized as explicit edges at admission
-time, which keeps the incompatibility graph transitively closed under
-descent: a block's edge set always contains every edge of its parents, so the
-recursive compatibility definition reduces to local edge checks.
+other. The first two are the direct conflicts, and ``chain.incompatible`` is
+their one predicate: admission and the final-frontier check both call it.
+Inherited conflicts are materialized as explicit edges at admission time,
+which keeps the incompatibility graph transitively closed under descent: a
+block's edge set always contains every edge of its parents, so the recursive
+compatibility definition reduces to local edge checks.
 
 Maximal cliques of compatible blocks are enumerated as maximal independent
 sets of the (sparse) incompatibility graph via pivoted Bron-Kerbosch on the
@@ -17,6 +19,8 @@ Headers must be ancestor-consistent, as structural validation enforces: every
 thread-τ ancestor of a block lies on the own-thread chain of its τ-parent, so
 a block's active ancestors are T own-thread walks. Consensus trusts this rule
 and does not re-check it; ``replay --no-validate`` feeds unchecked headers.
+Their shape (``chain.shape_violations``) is checked by the block store even
+then.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from __future__ import annotations
 import logging
 from typing import Iterable, Optional
 
-from .chain import Block, BlockStore, HeaderMeta, ProtocolParams, covers, make_genesis, read_trace
+from .chain import (Block, BlockStore, HeaderMeta, ProtocolParams, covers, incompatible,
+                    make_genesis, read_trace)
 from .errors import CliqueExplosion, StructuralViolation, UnprocessedParent
 
 log = logging.getLogger(__name__)
@@ -80,30 +85,6 @@ class CompatibilityState:
             return STATUS_ACTIVE
         return None
 
-    def thread_incompatible(self, id1: bytes, id2: bytes) -> bool:
-        m1, m2 = self.headers[id1], self.headers[id2]
-        return self._ti(m1, m2)
-
-    @staticmethod
-    def _ti(m1: HeaderMeta, m2: HeaderMeta) -> bool:
-        return (not m1.is_genesis and not m2.is_genesis
-                and m1.thread == m2.thread and m1.own_parent == m2.own_parent
-                and m1.id != m2.id)
-
-    def grandpa_incompatible(self, id1: bytes, id2: bytes) -> bool:
-        m1, m2 = self.headers[id1], self.headers[id2]
-        return self._gpi(m1, m2)
-
-    def _gpi(self, m1: HeaderMeta, m2: HeaderMeta) -> bool:
-        if m1.is_genesis or m2.is_genesis or m1.id == m2.id:
-            return False
-        headers = self.headers
-        if covers(headers, headers[m1.own_parent], headers[m2.parents[m1.thread]]):
-            return False
-        if covers(headers, headers[m2.own_parent], headers[m1.parents[m2.thread]]):
-            return False
-        return True
-
     # -- graph growth ---------------------------------------------------------
 
     def extend(self, block: Block) -> str:
@@ -141,13 +122,13 @@ class CompatibilityState:
                 self.stale_set.add(meta.id)
                 return STATUS_STALE
 
-        # an active ancestor x is never thread- or grandpa-incompatible with
-        # the block: the block's parent in x's thread is x or above it on x's
-        # chain, so it covers x.own_parent and differs from it
+        # an active ancestor x never directly conflicts with the block: the
+        # block's parent in x's thread is x or above it on x's chain, so it
+        # covers x.own_parent and differs from it
         ancestors = self._ancestors(meta)
-        ti, gpi = self._ti, self._gpi
+        headers, conflict = self.headers, incompatible
         direct = {x.id for x in active.values()
-                  if x.id not in ancestors and (ti(meta, x) or gpi(meta, x))}
+                  if x.id not in ancestors and conflict(headers, meta, x)}
 
         conflicts: set[bytes] = set()
         for p in active_parents:
@@ -176,40 +157,26 @@ class CompatibilityState:
         return STATUS_ACTIVE
 
     def _frontier_compatible(self, meta: HeaderMeta) -> bool:
-        """Whether the block is compatible with every settled-final block.
+        """Whether no settled-final block directly conflicts with the block.
 
         Active blocks never conflict with finals (a block only finalizes once
         nothing active conflicts with it), so this needs checking only at
-        admission. Equivalent to pairwise incompatibility tests against the
-        whole final set: the own-thread parent must be active or the thread's
-        final tip (a deeper final parent has a final sibling above it), and
-        wherever another thread's parent z is final below that thread's tip,
-        every final above z's direct child must reference an own-thread
-        ancestor the new block also covers. A final parent that the walk down
-        from its thread's final tip does not meet (only unvalidated headers
-        make one) counts as a conflict."""
-        meta_map = self.headers
+        admission. A final block at or below the block's parent in its thread
+        is covered by that parent and cannot conflict. An active parent has
+        every final of its thread below it; above a final parent, the finals
+        to test are the walk down from its thread's final tip to it. A walk
+        that reaches genesis without meeting the parent (only unvalidated
+        headers make one) counts as a conflict."""
+        headers = self.headers
         final = self.final_set
-        t = meta.thread
-        own = meta.own_parent
-        if own in final:
-            entry = self._latest_final[t]
-            if entry is None or entry[1] != own:
-                return False
-        z_t = meta_map[own]
         for tau, pid in enumerate(meta.parents):
-            if tau == t or pid not in final:
+            if pid not in final:
                 continue
-            tip_id = self._latest_final[tau][1]
-            cur = meta_map[tip_id]
+            cur = headers[self._latest_final[tau][1]]
             while cur.id != pid:
-                if cur.is_genesis:
+                if cur.is_genesis or incompatible(headers, meta, cur):
                     return False
-                if cur.own_parent != pid:
-                    ref = meta_map[cur.parents[t]]
-                    if not covers(meta_map, z_t, ref):
-                        return False
-                cur = meta_map[cur.own_parent]
+                cur = headers[cur.own_parent]
         return True
 
     def _admit(self, meta: HeaderMeta, ancestors: Iterable[bytes]) -> None:

@@ -82,22 +82,6 @@ class SimConfig:
         p = self.protocol
         return 2.0 * p.finality * p.slot_interval / p.thread_count
 
-    def to_dict(self) -> dict:
-        return {
-            "node_count": self.node_count,
-            "mean_bandwidth": self.mean_bandwidth,
-            "mean_latency": self.mean_latency,
-            "protocol": self.protocol.to_dict(),
-            "miss_rate": self.miss_rate,
-            "header_size": self.header_size,
-            "tx_size": self.tx_size,
-            "block_verify_time": self.block_verify_time,
-            "tx_verify_time": self.tx_verify_time,
-            "duration": self.duration,
-            "seed": self.seed,
-            "endorsements_enabled": self.endorsements_enabled,
-        }
-
     @classmethod
     def from_dict(cls, d: Mapping) -> "SimConfig":
         kwargs = {k: d[k] for k in cls.__dataclass_fields__ if k in d and k != "protocol"}

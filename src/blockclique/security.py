@@ -167,13 +167,9 @@ def _solve_success(tm: ThreatModel, start: Optional[int]) -> tuple[float, float]
     a, r = _transient_system(tm)
     k0 = -start
     z = _decay_root(tm)
+    if z is None:
+        z = 1.0     # no drift toward failure: solve the system unscaled
     try:
-        if z is None:
-            x = np.linalg.solve(a, r)
-            for _ in range(2):
-                x += np.linalg.solve(a, r - a @ x)
-            p = float(x[k0 - 1])
-            return p, math.log10(p) if p > 0 else -math.inf
         # scale only the jump band and the one-jump mass: z^(j-i) and z^-k
         # overflow far from the diagonal, where 0 * inf would give nan
         ks = np.arange(1, m, dtype=float)

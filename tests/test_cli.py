@@ -266,27 +266,48 @@ class TestReplayCommand:
     def test_no_validate_random_traces_never_raise(self, tmp_path, capsys):
         # per thread, each parent is any block made so far in that thread,
         # and each period is the largest so far plus 0 or 1: own-thread
-        # parents need not be older, and ancestors need not be consistent
+        # parents need not be older, and ancestors need not be consistent.
+        # Past the first 300 traces, some blocks also break the header shape
+        # consensus indexes by: an extra parent, a thread at or above T, or a
+        # parent slot naming a block of another thread. Such a trace is
+        # malformed and exits 2
         from blockclique.chain import Block, Slot
         rng = random.Random(5)
         trace = tmp_path / "trace.jsonl"
-        for _ in range(300):
+        shapes = [None] * 300 + ["extra parent", "thread out of range",
+                                 "cross-thread parent"] * 200
+        for shape in shapes:
             f = rng.choice([1, 2])
             pools = [[make_genesis(t).id] for t in range(4)]
             top = 0
             blocks = []
+            misshapen = False
             for _ in range(rng.randint(4, 24)):
                 tau = rng.randrange(4)
                 top += rng.randint(0, 1)
-                b = Block(slot=Slot(tau, top), creator=rng.randrange(8),
-                          parents=tuple(rng.choice(pool) for pool in pools),
-                          size_bits=100)
+                parents = [rng.choice(pool) for pool in pools]
+                thread = tau
+                if shape is not None and rng.random() < 0.25:
+                    misshapen = True
+                    if shape == "extra parent":
+                        parents.append(rng.choice(rng.choice(pools)))
+                    elif shape == "thread out of range":
+                        # thread + 1 parents, so that the thread indexes one
+                        thread = tau + 4
+                        parents += [rng.choice(rng.choice(pools)) for _ in range(tau + 1)]
+                    else:
+                        slot = rng.randrange(4)
+                        other = (slot + rng.randint(1, 3)) % 4
+                        parents[slot] = rng.choice(pools[other])
+                b = Block(slot=Slot(thread, top), creator=rng.randrange(8),
+                          parents=tuple(parents), size_bits=100)
                 pools[tau].append(b.id)
                 blocks.append(b)
             self._write_trace(trace, ProtocolParams(thread_count=4), blocks)
             argv = ["replay", "--trace", str(trace), "--override", "T=4", f"F={f}",
                     "E=0", "t0=4", "S_B=10000", "--no-validate"]
-            assert run(argv) in (0, 2, 3, 4)
+            code = run(argv)
+            assert code == 2 if misshapen else code in (0, 2, 3, 4)
             capsys.readouterr()
 
     def test_unresolved_cycle_attempt(self, tmp_path, capsys):

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from blockclique.chain import Block, BlockStore, ProtocolParams, Slot, covers, write_trace
+from blockclique.chain import (Block, BlockStore, HeaderMeta, ProtocolParams, Slot, covers,
+                               incompatible, write_trace)
 from blockclique.consensus import CompatibilityState, replay_trace
 from blockclique.errors import CliqueExplosion, UnknownBlock, UnprocessedParent
 
@@ -58,13 +59,20 @@ class TestPathPredicate:
 
 
 class TestIncompatibilityPredicates:
+    """``chain.incompatible``, the one direct-conflict rule, over a state's
+    header map."""
+
+    @staticmethod
+    def conflict(st, id1, id2):
+        return incompatible(st.headers, st.headers[id1], st.headers[id2])
+
     def test_thread_incompatible_same_parent(self):
         st = CompatibilityState(params())
         g0, g1 = st.genesis_ids
         a, b = blk(0, 1, [g0, g1]), blk(0, 2, [g0, g1])
         st.extend(a)
         st.extend(b)
-        assert st.thread_incompatible(a.id, b.id)
+        assert self.conflict(st, a.id, b.id)
 
     def test_parent_child_not_thread_incompatible(self):
         st = CompatibilityState(params())
@@ -73,15 +81,15 @@ class TestIncompatibilityPredicates:
         b = blk(0, 2, [a.id, g1])
         st.extend(a)
         st.extend(b)
-        assert not st.thread_incompatible(a.id, b.id)
+        assert not self.conflict(st, a.id, b.id)
 
     def test_genesis_never_incompatible(self):
         st = CompatibilityState(params())
         g0, g1 = st.genesis_ids
         a = blk(0, 1, [g0, g1])
         st.extend(a)
-        assert not st.thread_incompatible(g0, a.id)
-        assert not st.grandpa_incompatible(g0, a.id)
+        assert not self.conflict(st, g0, a.id)
+        assert not self.conflict(st, a.id, g0)
 
     def _grandpa_setup(self):
         st = CompatibilityState(params())
@@ -98,14 +106,14 @@ class TestIncompatibilityPredicates:
         d = blk(1, 2, [g0, y.id])   # ignores x, references its grandparent in 0
         st.extend(c)
         st.extend(d)
-        assert st.grandpa_incompatible(c.id, d.id)
-        assert st.grandpa_incompatible(d.id, c.id)  # symmetric
+        assert self.conflict(st, c.id, d.id)
+        assert self.conflict(st, d.id, c.id)  # symmetric
 
     def test_referencing_the_parent_itself_is_compatible(self):
         st, g0, g1, x, y = self._grandpa_setup()
         c = blk(0, 2, [x.id, g1])
         st.extend(c)
-        assert not st.grandpa_incompatible(c.id, y.id)
+        assert not self.conflict(st, c.id, y.id)
 
 
 class TestExtend:
@@ -281,8 +289,7 @@ class TestFinality:
             bc = sorted(st.blockclique)
             for i, a in enumerate(bc):
                 for b in bc[i + 1:]:
-                    assert not st.thread_incompatible(a, b)
-                    assert not st.grandpa_incompatible(a, b)
+                    assert not incompatible(st.headers, st.headers[a], st.headers[b])
                     assert b not in st._incompat.get(a, ())
 
 
@@ -354,17 +361,26 @@ class TestOracleEquivalence:
 
 class TestAncestry:
     """The own-thread walk finds exactly the active ancestors that a
-    brute-force search over all parents finds, and no active ancestor is
-    grandpa-incompatible with its descendant, which lets the admission scan
+    brute-force search over all parents finds, and no active ancestor
+    directly conflicts with its descendant, which lets the admission scan
     skip them. The one-pass descendant search finds exactly the active
     descendants, and the descendant fitness is exactly their sum, which
-    multi-clique finality reads as is."""
+    multi-clique finality reads as is. Wherever admission asks it (no parent
+    is stale), the final-frontier check, which walks only the finals above
+    each final parent, agrees with a direct-conflict test against every final
+    block."""
 
     @staticmethod
     def _check_walks(p, blocks):
         engine = CompatibilityState(p)
         reference = OracleConsensus(p)
+        headers = engine.headers
         for b in blocks:
+            meta_b = HeaderMeta.from_block(b)
+            if engine.stale_set.isdisjoint(meta_b.parents):
+                assert engine._frontier_compatible(meta_b) == (
+                    not any(incompatible(headers, meta_b, headers[f])
+                            for f in engine.final_set))
             engine.add_block(b)
             reference.meta[b.id] = engine.headers[b.id]
             active = engine.active
@@ -377,7 +393,7 @@ class TestAncestry:
                 walk = engine._ancestors(meta)
                 assert walk == above[bid] & active.keys()
                 for aid in walk:
-                    assert not engine._gpi(meta, active[aid])
+                    assert not incompatible(headers, meta, active[aid])
                 below = sorted(d for d in active if bid in above[d])
                 assert sorted(engine._descendants({bid})) == below
                 assert engine._desc_fitness[bid] == sum(active[d].fitness for d in below)
@@ -391,6 +407,25 @@ class TestAncestry:
         rng = random.Random(37)
         for _ in range(12):
             self._check_walks(*honest_instance(rng))
+
+    def test_grandpa_conflict_with_a_final_block(self):
+        # y1 and y2 finalize on thread 1's chain. c names the final genesis
+        # g1 as its thread-1 parent, and its own parent a is newer than g0,
+        # which y2 names in thread 0: c is grandpa-incompatible with the
+        # final y2, and only the frontier check stales it for that
+        p = params(t=2, f=1)
+        st = CompatibilityState(p)
+        g0, g1 = st.genesis_ids
+        ys = []
+        for k in range(1, 5):
+            ys.append(blk(1, k, [g0, ys[-1].id if ys else g1]))
+        a = blk(0, 1, [g0, g1])
+        c = blk(0, 2, [a.id, g1])
+        self._check_walks(p, ys + [a, c])
+        for b in ys + [a]:
+            st.add_block(b)
+        assert {ys[0].id, ys[1].id} <= st.final_set
+        assert st.add_block(c)[0] == "stale"
 
 
 class TestSharedHeaders:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -28,7 +29,7 @@ class TestConfig:
 
     def test_round_trip_dict(self):
         cfg = toy_config(seed=99)
-        assert SimConfig.from_dict(cfg.to_dict()) == cfg
+        assert SimConfig.from_dict(asdict(cfg)) == cfg
 
     def test_overrides_short_aliases(self):
         cfg = apply_overrides(SimConfig(), {"N": "8", "T": "2", "t0": "4",

@@ -109,6 +109,18 @@ class TestSuccessProbability:
     def test_f1_success_is_certain_from_parity(self):
         assert attack_success_probability(ThreatModel(0.3, 0.0, 1, 0)) == 1.0
 
+    def test_no_decay_root_matches_plain_solve(self):
+        # beta >= gamma: the walk does not drift toward failure, so the
+        # solve runs unscaled
+        from blockclique.security import _decay_root, _transient_system
+        tm = ThreatModel(0.5, 0.1, 64, 8)
+        assert _decay_root(tm) is None
+        a, r = _transient_system(tm)
+        expected = np.linalg.solve(a, r)[-tm.default_start - 1]
+        assert 0.0 < expected < 1.0
+        assert attack_success_probability(tm) == pytest.approx(expected, rel=1e-12)
+        assert attack_success_log10(tm) == pytest.approx(math.log10(expected), rel=1e-12)
+
 
 class TestClosedForm:
     def test_f1_is_certain_success(self):
