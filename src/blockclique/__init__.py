@@ -21,7 +21,7 @@ from .chain import (
     thread_of_address,
     validate_block_structure,
 )
-from .consensus import CompatibilityState, replay_trace
+from .consensus import CompatibilityState, DagIndex, replay_trace
 from .selection import SelectionOracle
 from .security import (
     FitnessChain,

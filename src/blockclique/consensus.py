@@ -5,11 +5,14 @@ Two blocks conflict when they are thread-incompatible (same thread, same
 own-thread parent), grandpa-incompatible (neither covers the other's parent in
 its own thread), or when either descends from a block in conflict with the
 other. The first two are the direct conflicts, and ``chain.incompatible`` is
-their one predicate: admission and the final-frontier check both call it.
-Inherited conflicts are materialized as explicit edges at admission time,
-which keeps the incompatibility graph transitively closed under descent: a
-block's edge set always contains every edge of its parents, so the recursive
-compatibility definition reduces to local edge checks.
+their one predicate. Direct conflicts are facts about two headers, the same
+at every node, so a ``DagIndex`` computes a block's once, when the block
+enters it, and every state sharing the index reads them; the final-frontier
+check calls the predicate itself. Inherited conflicts are materialized as
+explicit edges at admission time, which keeps the incompatibility graph
+transitively closed under descent: a block's edge set always contains every
+edge of its parents, so the recursive compatibility definition reduces to
+local edge checks.
 
 Maximal cliques of compatible blocks are enumerated as maximal independent
 sets of the (sparse) incompatibility graph via pivoted Bron-Kerbosch on the
@@ -41,27 +44,86 @@ STATUS_STALE = "stale"
 DEFAULT_CLIQUE_CAP = 1024
 
 
+class DagIndex:
+    """The process's header map (``headers``) and, per live block, the ids
+    of the live blocks that directly conflict with it (``conflicts``, kept
+    symmetric and sparse). A block is live from ``add`` until every state
+    sharing the index has settled it: a state's active blocks are all live,
+    so its direct conflicts are ``conflicts[b]`` restricted to its active
+    set. Settlement is monotone, so dropping a block then is exact."""
+
+    def __init__(self, headers: Optional[dict[bytes, HeaderMeta]] = None):
+        self.headers: dict[bytes, HeaderMeta] = {} if headers is None else headers
+        self.conflicts: dict[bytes, set[bytes]] = {}
+        self.live: dict[bytes, HeaderMeta] = {}
+        self._settled: dict[bytes, int] = {}    # id -> states that settled it, until all have
+        self._states = 0
+
+    def register(self) -> None:
+        """Count one more state that will call ``settle``."""
+        self._states += 1
+
+    def add(self, meta: HeaderMeta) -> None:
+        """Record a block's direct conflicts with the live blocks, in both
+        directions; a no-op for a live block. The walk down its own-thread
+        parent chains skips its live ancestors: an ancestor x never directly
+        conflicts with it, as its parent in x's thread is x or above x, so it
+        covers x.own_parent and differs from it."""
+        bid = meta.id
+        live = self.live
+        if bid in live:
+            return
+        meta = self.headers.setdefault(bid, meta)
+        above = set()
+        for pid in meta.parents:
+            while pid in live:
+                above.add(pid)
+                pid = live[pid].own_parent
+        headers, conflicts = self.headers, self.conflicts
+        for x in live.values():
+            if x.id not in above and incompatible(headers, meta, x):
+                conflicts.setdefault(bid, set()).add(x.id)
+                conflicts.setdefault(x.id, set()).add(bid)
+        live[bid] = meta
+
+    def settle(self, bid: bytes) -> None:
+        """One state has settled the block (final or stale); once all have,
+        it leaves the live set and its conflicts with it."""
+        count = self._settled.get(bid, 0) + 1
+        if count < self._states:
+            self._settled[bid] = count
+            return
+        self._settled.pop(bid, None)
+        self.live.pop(bid, None)
+        for other in self.conflicts.pop(bid, ()):
+            self.conflicts[other].discard(bid)
+
+
 class CompatibilityState:
     """Single-owner consensus state machine over block headers.
 
     Blocks must be fed in a parent-respecting order (``UnprocessedParent``
     otherwise). Settlement is monotone: once a block id lands in the final or
     stale set it never moves. The active, final and stale sets partition the
-    blocks this state has processed. It reads the process's ``headers`` map
-    (shared by a simulation's states, or with a replay's block store), or
-    owns a private one; a header in the map is not processed until fed.
+    blocks this state has processed. It reads a ``DagIndex`` (shared by a
+    simulation's states), or owns a private one; a header in the index is not
+    processed until fed.
     """
 
     def __init__(self, params: ProtocolParams, clique_cap: int = DEFAULT_CLIQUE_CAP,
-                 headers: Optional[dict[bytes, HeaderMeta]] = None):
+                 index: Optional[DagIndex] = None):
         self.params = params
         self.threshold = params.finality_threshold
         self.clique_cap = clique_cap
-        self.headers: dict[bytes, HeaderMeta] = {} if headers is None else headers
+        self.index = DagIndex() if index is None else index
+        self.index.register()
+        self.headers = self.index.headers
         self.active: dict[bytes, HeaderMeta] = {}
         self._incompat: dict[bytes, set[bytes]] = {}
         self._edge_count = 0
         self._desc_fitness: dict[bytes, int] = {}
+        # the active blocks whose descendant fitness exceeds the threshold
+        self._deep: dict[bytes, None] = {}
         self._latest_final: list[Optional[tuple[int, bytes]]] = [None] * params.thread_count
         self.final_set: set[bytes] = set()
         self.stale_set: set[bytes] = set()
@@ -70,9 +132,9 @@ class CompatibilityState:
         self.genesis_ids: list[bytes] = []
         for tau in range(params.thread_count):
             g = HeaderMeta.from_block(make_genesis(tau))
-            g = self.headers.setdefault(g.id, g)
+            self.index.add(g)
             self.genesis_ids.append(g.id)
-            self._admit(g, ())
+            self._admit(self.headers[g.id])
 
     # -- queries -------------------------------------------------------------
 
@@ -103,14 +165,12 @@ class CompatibilityState:
                 raise UnprocessedParent(f"parent {p.hex()[:16]} not processed")
         meta = self.headers.setdefault(meta.id, meta)
 
-        if any(p in stale for p in meta.parents):
-            stale.add(meta.id)
-            return STATUS_STALE
+        if not stale.isdisjoint(meta.parents):
+            return self._stale(meta.id)
         if not self._frontier_compatible(meta):
             # in conflict with an already-final block: can never join the
             # blockclique again
-            stale.add(meta.id)
-            return STATUS_STALE
+            return self._stale(meta.id)
 
         incompat = self._incompat
         active_parents = [p for p in meta.parents if p in active]
@@ -119,16 +179,11 @@ class CompatibilityState:
         for p in active_parents:
             edges = incompat.get(p)
             if edges and not edges.isdisjoint(active_parents):
-                self.stale_set.add(meta.id)
-                return STATUS_STALE
+                return self._stale(meta.id)
 
-        # an active ancestor x never directly conflicts with the block: the
-        # block's parent in x's thread is x or above it on x's chain, so it
-        # covers x.own_parent and differs from it
-        ancestors = self._ancestors(meta)
-        headers, conflict = self.headers, incompatible
-        direct = {x.id for x in active.values()
-                  if x.id not in ancestors and conflict(headers, meta, x)}
+        self.index.add(meta)
+        mine = self.index.conflicts.get(meta.id)
+        direct = {x for x in mine if x in active} if mine else set()
 
         conflicts: set[bytes] = set()
         for p in active_parents:
@@ -141,12 +196,11 @@ class CompatibilityState:
         if seeds:
             conflicts |= seeds
             conflicts.update(self._descendants(seeds))
-        if any(p in conflicts for p in meta.parents):
+        if conflicts and not conflicts.isdisjoint(meta.parents):
             # incompatible with one of its own parents under the recursive rule
-            stale.add(meta.id)
-            return STATUS_STALE
+            return self._stale(meta.id)
 
-        self._admit(meta, ancestors)
+        self._admit(meta)
         if conflicts:
             mine = incompat.setdefault(meta.id, set())
             for cid in conflicts:
@@ -179,16 +233,33 @@ class CompatibilityState:
                 cur = headers[cur.own_parent]
         return True
 
-    def _admit(self, meta: HeaderMeta, ancestors: Iterable[bytes]) -> None:
+    def _stale(self, bid: bytes) -> str:
+        self.stale_set.add(bid)
+        self.index.settle(bid)
+        return STATUS_STALE
+
+    def _admit(self, meta: HeaderMeta) -> None:
         bid = meta.id
+        self._bump_ancestors(meta, meta.fitness)
         self.active[bid] = meta
         self._desc_fitness[bid] = 0
         self._total_fitness += meta.fitness
         self._cliques = None
-        desc = self._desc_fitness
-        fit = meta.fitness
-        for aid in ancestors:
-            desc[aid] += fit
+
+    def _bump_ancestors(self, meta: HeaderMeta, delta: int) -> None:
+        """Add ``delta`` to the descendant fitness of ``meta``'s active strict
+        ancestors, keeping ``_deep`` in step. Per thread they are the active
+        top of its parent's own-thread chain, exactly for ancestor-consistent
+        headers; the T walks are disjoint, as each stays in its thread."""
+        active, desc, deep, threshold = self.active, self._desc_fitness, self._deep, self.threshold
+        for pid in meta.parents:
+            while pid in active:
+                d = desc[pid] = desc[pid] + delta
+                if d > threshold:
+                    deep[pid] = None
+                elif delta < 0:
+                    deep.pop(pid, None)
+                pid = active[pid].own_parent
 
     def _descendants(self, seeds: set[bytes]) -> list[bytes]:
         """Ids of active blocks having an active seed as a strict ancestor,
@@ -202,19 +273,6 @@ class CompatibilityState:
             if not reach.isdisjoint(meta.parents):
                 reach.add(bid)
                 out.append(bid)
-        return out
-
-    def _ancestors(self, meta: HeaderMeta) -> set[bytes]:
-        """Ids of active strict ancestors of ``meta``: per thread, the active
-        top of its parent's own-thread chain. Exact for ancestor-consistent
-        headers (every thread-τ ancestor lies on that chain), because on each
-        chain the active blocks sit above the final ones."""
-        active = self.active
-        out: set[bytes] = set()
-        for pid in meta.parents:
-            while pid in active:
-                out.add(pid)
-                pid = active[pid].own_parent
         return out
 
     # -- cliques ---------------------------------------------------------------
@@ -314,8 +372,7 @@ class CompatibilityState:
         newly_final: list[bytes] = []
         desc = self._desc_fitness
         if len(cliques) == 1:
-            newly_final = [bid for bid in self.active
-                           if not incompat.get(bid) and desc[bid] > threshold]
+            newly_final = [bid for bid in self._deep if not incompat.get(bid)]
         else:
             # an edge-free block is in every clique; the fitness of its
             # descendants inside a clique is its exact _desc_fitness minus
@@ -324,8 +381,8 @@ class CompatibilityState:
             meta_map = self.headers
             outsiders = [[meta_map[v] for v, edges in incompat.items()
                           if edges and v not in members] for members, _ in cliques]
-            for bid in self.active:
-                if bid in newly_stale or incompat.get(bid) or desc[bid] <= threshold:
+            for bid in self._deep:
+                if bid in newly_stale or incompat.get(bid):
                     continue
                 x = meta_map[bid]
                 for out in outsiders:
@@ -360,12 +417,12 @@ class CompatibilityState:
                     oset.discard(bid)
                     self._edge_count -= 1
         self._desc_fitness.pop(bid, None)
+        self._deep.pop(bid, None)
+        self.index.settle(bid)
         if stale:
             self.stale_set.add(bid)
             # the block no longer counts toward its ancestors' settled weight
-            desc = self._desc_fitness
-            for aid in self._ancestors(meta):
-                desc[aid] -= meta.fitness
+            self._bump_ancestors(meta, -meta.fitness)
         else:
             self.final_set.add(bid)
             cur = self._latest_final[meta.thread]
@@ -420,7 +477,7 @@ def replay_trace(fp, params: ProtocolParams, oracle=None, validate: bool = True,
     final blocks, zero for stale or unresolved ones).
     """
     store = BlockStore(params, oracle=oracle, validate=validate)
-    state = CompatibilityState(params, clique_cap=clique_cap, headers=store.headers)
+    state = CompatibilityState(params, clique_cap=clique_cap, index=DagIndex(store.headers))
     seen_order: list[bytes] = []
     violations: list[tuple[bytes, list[str]]] = []
     for block in read_trace(fp):

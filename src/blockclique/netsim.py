@@ -18,8 +18,9 @@ verification costs the same for every block. So a parent reaches every node's
 processing step before its child, and a break in that order raises
 ``UnprocessedParent`` instead of going unnoticed.
 
-A header is a fact every node agrees on: a run keeps one header map, filled
-as blocks are created, that every node's consensus state reads.
+Headers and their direct conflicts are facts every node agrees on: a run
+keeps one ``DagIndex``, filled as blocks are created, that every node's
+consensus state reads, so a block's direct conflicts are computed once.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .chain import Block, Endorsement, HeaderMeta, ProtocolParams, Slot, slot_timestamp
-from .consensus import CompatibilityState
+from .consensus import CompatibilityState, DagIndex
 from .errors import InsufficientData, TopologyError
 from .selection import SelectionOracle
 
@@ -277,8 +278,9 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
     oracle = SelectionOracle(_derive_seed(cfg.seed, "blockclique.sim.selection"),
                              cfg.node_count)
     miss_seed = _derive_seed(cfg.seed, "blockclique.sim.miss")
-    headers: dict[bytes, HeaderMeta] = {}
-    states = [CompatibilityState(params, headers=headers) for _ in range(cfg.node_count)]
+    index = DagIndex()
+    headers = index.headers
+    states = [CompatibilityState(params, index=index) for _ in range(cfg.node_count)]
     seen: list[set[bytes]] = [set() for _ in range(cfg.node_count)]
     send_queue: list[deque] = [deque() for _ in range(cfg.node_count)]
     sending = [False] * cfg.node_count
@@ -383,7 +385,7 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
                           endorsements=endorsements, size_bits=params.max_block_size,
                           tx_count=tx_count)
             bid = block.id
-            headers[bid] = HeaderMeta.from_block(block)
+            index.add(HeaderMeta.from_block(block))
             created_at[bid] = now
             holders[bid] = 1
             if half_needed <= 1:

@@ -5,7 +5,7 @@ import pytest
 
 from blockclique.chain import (Block, BlockStore, HeaderMeta, ProtocolParams, Slot, covers,
                                incompatible, write_trace)
-from blockclique.consensus import CompatibilityState, replay_trace
+from blockclique.consensus import CompatibilityState, DagIndex, replay_trace
 from blockclique.errors import CliqueExplosion, UnknownBlock, UnprocessedParent
 
 from dag_gen import honest_instance, parent_respecting_shuffle, random_instance
@@ -360,15 +360,16 @@ class TestOracleEquivalence:
 
 
 class TestAncestry:
-    """The own-thread walk finds exactly the active ancestors that a
-    brute-force search over all parents finds, and no active ancestor
-    directly conflicts with its descendant, which lets the admission scan
-    skip them. The one-pass descendant search finds exactly the active
-    descendants, and the descendant fitness is exactly their sum, which
-    multi-clique finality reads as is. Wherever admission asks it (no parent
-    is stale), the final-frontier check, which walks only the finals above
-    each final parent, agrees with a direct-conflict test against every final
-    block."""
+    """No active ancestor directly conflicts with its descendant, which lets
+    the index's scan skip them. The index's conflicts of an active block,
+    restricted to the active set, are exactly its direct conflicts there, and
+    the relation is symmetric. The one-pass descendant search finds exactly
+    the active descendants, and the descendant fitness, which the own-thread
+    walks keep, is exactly their sum; multi-clique finality reads it as is,
+    and the blocks it puts over the threshold are exactly the crossing set
+    that finality iterates. Wherever admission asks it (no parent is stale),
+    the final-frontier check, which walks only the finals above each final
+    parent, agrees with a direct-conflict test against every final block."""
 
     @staticmethod
     def _check_walks(p, blocks):
@@ -389,19 +390,33 @@ class TestAncestry:
             assert active.keys().isdisjoint(engine.stale_set)
             assert engine.final_set.isdisjoint(engine.stale_set)
             above = {bid: reference._ancestors(bid) for bid in active}
+            # a private index holds exactly the state's active blocks
+            assert engine.index.live.keys() == active.keys()
+            conflicts = engine.index.conflicts
             for bid, meta in active.items():
-                walk = engine._ancestors(meta)
-                assert walk == above[bid] & active.keys()
-                for aid in walk:
+                for aid in above[bid] & active.keys():
                     assert not incompatible(headers, meta, active[aid])
+                direct = {x for x in conflicts.get(bid, ()) if x in active}
+                assert direct == {x for x in active
+                                  if x != bid and incompatible(headers, meta, active[x])}
+                assert all(bid in conflicts[x] for x in conflicts.get(bid, ()))
                 below = sorted(d for d in active if bid in above[d])
                 assert sorted(engine._descendants({bid})) == below
                 assert engine._desc_fitness[bid] == sum(active[d].fitness for d in below)
+            assert engine._deep.keys() == {
+                a for a in active if engine._desc_fitness[a] > engine.threshold}
 
     def test_random_instances(self):
         rng = random.Random(31)
         for _ in range(40):
             self._check_walks(*random_instance(rng, max_blocks=16))
+
+    def test_long_random_instances(self):
+        # long enough for a stale removal to pull an active ancestor's
+        # descendant fitness back under the threshold
+        rng = random.Random(47)
+        for _ in range(20):
+            self._check_walks(*random_instance(rng, max_blocks=24))
 
     def test_honest_instances(self):
         rng = random.Random(37)
@@ -429,19 +444,21 @@ class TestAncestry:
 
 
 class TestSharedHeaders:
-    """States that share one header map still each process only what they are
-    fed: a shared map changes no state's statuses, cliques or settlement."""
+    """States that share one ``DagIndex`` still each process only what they
+    are fed: a shared index changes no state's statuses, cliques or
+    settlement, and it keeps a block live until every state has settled it."""
 
     def test_header_in_map_but_not_processed(self):
         p = params()
-        headers = {}
-        fed = CompatibilityState(p, headers=headers)
-        other = CompatibilityState(p, headers=headers)
+        index = DagIndex()
+        fed = CompatibilityState(p, index=index)
+        other = CompatibilityState(p, index=index)
         g0, g1 = fed.genesis_ids
         a = blk(0, 1, [g0, g1])
         child = blk(0, 2, [a.id, g1])
         fed.extend(a)
-        assert a.id in headers and other.status(a.id) is None
+        assert a.id in index.headers and a.id in index.live
+        assert other.status(a.id) is None
         with pytest.raises(UnprocessedParent):
             other.extend(child)
         assert other.extend(a) == "active"
@@ -454,15 +471,19 @@ class TestSharedHeaders:
 
     def _check_sharing(self, p, blocks, rng):
         orders = [parent_respecting_shuffle(blocks, rng) for _ in range(3)]
-        headers = {}
-        shared = [CompatibilityState(p, headers=headers) for _ in orders]
+        index = DagIndex()
+        shared = [CompatibilityState(p, index=index) for _ in orders]
         private = [CompatibilityState(p) for _ in orders]
         for step in range(len(blocks)):
             for order, st, ref in zip(orders, shared, private):
                 assert st.add_block(order[step]) == ref.add_block(order[step])
                 assert self._outcome(st, blocks) == self._outcome(ref, blocks)
                 # one header object per id, whichever state read it first
-                assert all(headers[bid] is meta for bid, meta in st.active.items())
+                assert all(index.headers[bid] is meta for bid, meta in st.active.items())
+                assert st.active.keys() <= index.live.keys()
+        # a live block is one that some state has not settled
+        for bid in index.live:
+            assert any(st.status(bid) in (None, "active") for st in shared)
 
     def test_random_instances(self):
         rng = random.Random(41)

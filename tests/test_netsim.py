@@ -1,9 +1,13 @@
+import hashlib
+import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
 from blockclique.chain import ProtocolParams
+from blockclique.cli import canonical_json
 from blockclique.errors import InsufficientData, TopologyError
 from blockclique.netsim import (
     SimConfig, apply_overrides, build_topology, measure_confirmation, run_simulation,
@@ -164,6 +168,24 @@ class TestSimulation:
         slot_gap = p.slot_interval / p.thread_count
         assert m.confirmation_time is not None
         assert horizon <= m.confirmation_time < horizon + slot_gap + 10 * (m.t_half + 0.2)
+
+
+class TestForkingRun:
+    """A run whose latency far exceeds the slot gap forks: nodes settle many
+    cliques and stale blocks, so the multi-clique paths run under network
+    timing. Its metrics and block records are pinned byte for byte."""
+
+    DIGEST = "0ea5c995f70a36d03144462b560989051f6e21dd6c624a26b913ab1556d8b4cc"
+
+    def test_pinned_outcome(self):
+        path = Path(__file__).resolve().parent.parent / "configs" / "toy.json"
+        cfg = replace(SimConfig.from_dict(json.loads(path.read_text())),
+                      node_count=32, mean_latency=4.0)
+        m = run_simulation(cfg, collect_blocks=True)
+        assert m.max_clique_count == 6
+        assert (m.blocks_stale, m.blocks_final, m.blocks_produced) == (33, 69, 113)
+        text = canonical_json(m.to_dict()) + canonical_json(m.block_records)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
 
 
 class TestMeasureConfirmation:
