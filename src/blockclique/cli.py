@@ -199,6 +199,8 @@ def _sweep_values(expr: str) -> tuple[str, list[float]]:
             break
         values.append(round(v, 12))
         k += 1
+    if key in ("F", "E") and any(v != int(v) for v in values):
+        raise ValueError(f"sweep values for {key} must be integers, got {expr!r}")
     return key, values
 
 

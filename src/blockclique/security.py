@@ -8,12 +8,18 @@ gamma-analogue, or stays put with probability (1-beta) mu. Reaching 0 is
 attack success, reaching -F(E+1) failure; jumps overshooting a barrier are
 absorbed at it.
 
+Jumps span at most E+1 states, so the transient block I - Q is a banded
+Toeplitz matrix with 2(E+1)+1 constant diagonals. ``_band`` is the one
+builder of the transition model (``FitnessChain.matrix`` is a dense view of
+it), and every solve factors the band once, block by block, in
+O(M (E+1)^2) with M = F(E+1), never forming a dense matrix of order M.
+
 Success probabilities span hundreds of orders of magnitude across the
-parameter range, so the transient linear system is solved after a diagonal
-rescaling by the decaying characteristic root of the jump polynomial; this
-keeps every solution component at O(1) and gives componentwise relative
-accuracy, verified against the closed form for E = 0. Plain dense solves are
-used for the (well-scaled) duration moments.
+parameter range, so the success system is solved after a diagonal rescaling
+by the decaying characteristic root of the jump polynomial, which keeps the
+band; this keeps every solution component at O(1) and gives componentwise
+relative accuracy, verified against the closed form for E = 0. The
+(well-scaled) duration moments share one unscaled factorisation.
 """
 
 from __future__ import annotations
@@ -86,45 +92,113 @@ def jump_probabilities(tm: ThreatModel) -> tuple[list[float], list[float], float
     return fwd, bwd, (1.0 - beta) * tm.miss_rate
 
 
+def _band(tm: ThreatModel) -> tuple[np.ndarray, list[float], list[float]]:
+    """The walk's transitions as the 2(E+1)+1 diagonal constants of its
+    banded Toeplitz transient block, indexed by the change in distance from
+    the success barrier (-(E+1)..E+1: forward jumps, stay, backward jumps),
+    plus the one-jump success mass by distance from success and the failure
+    mass by distance from failure (1..E+1). Mass that overshoots a barrier is
+    absorbed at it, summed in jump order."""
+    fwd, bwd, stay = jump_probabilities(tm)
+    hit = [sum(fwd[k:]) for k in range(len(fwd))]
+    miss = [sum(bwd[k:]) for k in range(len(bwd))]
+    return np.array(fwd[::-1] + [stay] + bwd), hit, miss
+
+
 class FitnessChain:
     """Explicit transition matrix over all states -F(E+1)..0 (both absorbing
-    endpoints included as identity rows). States are ordered from the failure
-    barrier up to the success barrier."""
+    endpoints included as identity rows), a dense view of ``_band``. States
+    are ordered from the failure barrier up to the success barrier."""
 
     def __init__(self, tm: ThreatModel):
         self.tm = tm
         m = tm.span
-        fwd, bwd, stay = jump_probabilities(tm)
-        size = m + 1
-        p = np.zeros((size, size))
+        band, hit, miss = _band(tm)
+        e1 = len(hit)
+        p = np.zeros((m + 1, m + 1))
         p[0, 0] = 1.0       # failure barrier
         p[m, m] = 1.0       # success barrier
-        # one pass per jump size; a pass touches each row once, so mass that
-        # overshoots into a barrier cell accumulates in jump order
-        ks = np.arange(1, m)
-        rows = m - ks       # state -k is row m-k
-        p[rows, rows] += stay
-        for n, pr in enumerate(fwd, start=1):
-            p[rows, m - np.maximum(ks - n, 0)] += pr
-        for n, pr in enumerate(bwd, start=1):
-            p[rows, m - np.minimum(ks + n, m)] += pr
+        ks = np.arange(1, m)    # distance from success; state -k is row m-k
+        for d, pr in enumerate(band, start=-e1):
+            live = ks[(ks + d >= 1) & (ks + d < m)]
+            p[m - live, m - live - d] = pr
+        near = ks[ks <= e1]
+        p[m - near, m] = np.take(hit, near - 1)
+        far = ks[m - ks <= e1]
+        p[m - far, 0] = np.take(miss, m - far - 1)
         self.matrix = p
         self.states = list(range(-m, 1))
 
 
-def _transient_system(tm: ThreatModel) -> tuple[np.ndarray, np.ndarray]:
-    """(I - Q) over transient states k=1..M-1 (distance from success), plus
-    the one-jump success mass vector, both read off ``FitnessChain.matrix``
-    (state -k is its row M-k)."""
-    m = tm.span
-    if m < 2:
+def _transient_band(tm: ThreatModel) -> tuple[np.ndarray, np.ndarray]:
+    """The 2(E+1)+1 diagonal constants of I - Q over the transient states
+    k=1..M-1 (distance from success), plus the one-jump success mass of the
+    states k=1..min(E+1, M-1)."""
+    if tm.span < 2:
         raise SingularSystem("no transient states")
-    fwd, bwd, _ = jump_probabilities(tm)
-    if sum(fwd) + sum(bwd) <= 0.0:
+    band, hit, _ = _band(tm)
+    e1 = len(hit)
+    if not (band[:e1].any() or band[e1 + 1:].any()):
         raise SingularSystem("walk has no transition mass toward either barrier")
-    p = FitnessChain(tm).matrix
-    transient = slice(m - 1, 0, -1)     # k = 1..M-1
-    return np.eye(m - 1) - p[transient, transient], p[transient, m].copy()
+    coeffs = -band
+    coeffs[e1] = 1.0 - band[e1]
+    return coeffs, np.array(hit[:tm.span - 1])
+
+
+class _BandLU:
+    """Block LU, without pivoting between blocks, of the order-n banded
+    Toeplitz matrix whose 2b+1 diagonals are ``coeffs`` (offsets -b..b).
+
+    Cut into b x b blocks, the band is block tridiagonal with the same three
+    blocks in every block row; the last block is padded with decoupled
+    identity unknowns. The Schur-complement recurrence S_i = D - L S_{i-1}^-1 U
+    then runs over about n/b blocks, and dense linear algebra only ever sees
+    b x b blocks. I - Q is a nonsingular M-matrix, and so is any positive
+    diagonal similarity of it; their Schur complements stay M-matrices, so
+    the recurrence needs no pivoting (Golub & Van Loan, Matrix Computations,
+    sections 4.3 and 4.5)."""
+
+    def __init__(self, coeffs: np.ndarray, n: int):
+        b = (len(coeffs) - 1) // 2
+        blocks = -(-n // b)
+        self.coeffs, self.n, self.b = coeffs, n, b
+        ext = np.zeros(4 * b + 1)
+        ext[b:3 * b + 1] = coeffs       # offset d sits at 2b + d
+        off = np.arange(b)[None, :] - np.arange(b)[:, None]
+        diag, upper, lower = ext[2 * b + off], ext[3 * b + off], ext[b + off]
+        keep = np.arange(b) < n - (blocks - 1) * b
+        diags = [diag] * (blocks - 1) + [np.where(np.outer(keep, keep), diag, np.eye(b))]
+        self._lowers = [lower] * (blocks - 1) + [lower * keep[:, None]]
+        uppers = [upper] * max(blocks - 2, 0) + [upper * keep[None, :]]
+        self._invs: list[np.ndarray] = []   # S_i^-1
+        self._gains: list[np.ndarray] = []  # S_i^-1 U_i
+        for i in range(blocks):
+            s = diags[i] - self._lowers[i] @ self._gains[-1] if i else diags[0]
+            inv = np.linalg.inv(s)
+            self._invs.append(inv)
+            if i < blocks - 1:
+                self._gains.append(inv @ uppers[i])
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A^-1 rhs: one forward block sweep, then block back substitution."""
+        invs, gains, lowers = self._invs, self._gains, self._lowers
+        blocks, b = len(invs), self.b
+        v = np.zeros(blocks * b)
+        v[:self.n] = rhs
+        v = v.reshape(blocks, b)
+        v[0] = invs[0] @ v[0]
+        for i in range(1, blocks):
+            v[i] = invs[i] @ (v[i] - lowers[i] @ v[i - 1])
+        for i in range(blocks - 2, -1, -1):
+            v[i] -= gains[i] @ v[i + 1]
+        return v.reshape(-1)[:self.n]
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x, for refinement residuals."""
+        b = self.b
+        padded = np.zeros(self.n + 2 * b)
+        padded[b:b + self.n] = x
+        return np.convolve(padded, self.coeffs[::-1], "valid")
 
 
 def _decay_root(tm: ThreatModel) -> Optional[float]:
@@ -149,11 +223,22 @@ def _decay_root(tm: ThreatModel) -> Optional[float]:
     lo = 1e-12
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break       # a fixed point: further steps would return this mid
         if phi(mid) > 0.0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _scaled(values: np.ndarray, z: float, powers: np.ndarray) -> np.ndarray:
+    """values * z^powers, with zero entries left zero where z^powers
+    overflows (0 * inf would give nan)."""
+    out = np.zeros_like(values)
+    nz = values != 0.0
+    out[nz] = values[nz] * np.power(z, powers[nz])
+    return out
 
 
 def _solve_success(tm: ThreatModel, start: Optional[int]) -> tuple[float, float]:
@@ -164,24 +249,22 @@ def _solve_success(tm: ThreatModel, start: Optional[int]) -> tuple[float, float]
         return 1.0, 0.0
     if start <= -m:
         return 0.0, -math.inf
-    a, r = _transient_system(tm)
+    coeffs, hit = _transient_band(tm)
     k0 = -start
     z = _decay_root(tm)
     if z is None:
         z = 1.0     # no drift toward failure: solve the system unscaled
+    # the z-scaling is a diagonal similarity: z^(j-i) on the band, z^-k on
+    # the one-jump mass
+    e1 = len(coeffs) // 2
+    scaled = _scaled(coeffs, z, np.arange(-e1, e1 + 1))
+    rhs = np.zeros(m - 1)
+    rhs[:len(hit)] = _scaled(hit, z, -np.arange(1, len(hit) + 1))
     try:
-        # scale only the jump band and the one-jump mass: z^(j-i) and z^-k
-        # overflow far from the diagonal, where 0 * inf would give nan
-        ks = np.arange(1, m, dtype=float)
-        rows, cols = np.nonzero(a)
-        scaled = np.zeros_like(a)
-        scaled[rows, cols] = a[rows, cols] * np.power(z, ks[cols] - ks[rows])
-        (hit,) = np.nonzero(r)
-        rhs = np.zeros_like(r)
-        rhs[hit] = r[hit] * np.power(z, -ks[hit])
-        y = np.linalg.solve(scaled, rhs)
+        lu = _BandLU(scaled, m - 1)
+        y = lu.solve(rhs)
         for _ in range(2):
-            y += np.linalg.solve(scaled, rhs - scaled @ y)
+            y += lu.solve(rhs - lu.matvec(y))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
     yk = float(y[k0 - 1])
@@ -229,10 +312,11 @@ def attack_duration_stats(tm: ThreatModel, start: Optional[int] = None) -> tuple
         start = tm.default_start
     if start >= 0 or start <= -tm.span:
         return 0.0, 0.0
-    a, _ = _transient_system(tm)
+    coeffs, _ = _transient_band(tm)
     try:
-        t = np.linalg.solve(a, np.ones(a.shape[0]))
-        w = np.linalg.solve(a, t)
+        lu = _BandLU(coeffs, tm.span - 1)   # one factorisation for both moments
+        t = lu.solve(np.ones(tm.span - 1))
+        w = lu.solve(t)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
     k0 = -start

@@ -136,6 +136,14 @@ class TestAttackCommand:
         assert captured.out == ""
         assert "beta, mu, F, E" in captured.err
 
+    @pytest.mark.parametrize("sweep", ["E=0:2:0.5", "F=2:3:0.5"])
+    def test_sweep_rejects_non_integer_f_and_e(self, sweep, capsys):
+        assert run(["attack", "--beta", "0.3", "--mu", "0.01", "--F", "8", "--E", "2",
+                    "--sweep", sweep]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be integers" in captured.err
+
     def test_threshold_manifest_records_e(self, tmp_path, capsys):
         assert run(["attack", "--threshold", "--mu", "0.01", "--E", "3",
                     "--out", str(tmp_path)]) == 0

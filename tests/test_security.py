@@ -5,11 +5,81 @@ import pytest
 
 from blockclique.errors import DomainError, SingularSystem
 from blockclique.security import (
-    AttackSample, FitnessChain, ThreatModel, analyze, attack_duration_stats,
-    attack_success_log10, attack_success_probability, closed_form_success,
-    duration_tail_bound, jump_probabilities, newcomer_safety_threshold,
-    simulate_attacks,
+    AttackSample, FitnessChain, ThreatModel, _decay_root, _transient_band, analyze,
+    attack_duration_stats, attack_success_log10, attack_success_probability,
+    closed_form_success, duration_tail_bound, jump_probabilities,
+    newcomer_safety_threshold, simulate_attacks,
 )
+
+
+def _dense_system(tm):
+    """(I - Q) over the transient states k=1..M-1 (distance from success) and
+    the one-jump success mass, read off ``FitnessChain.matrix`` (state -k is
+    its row M-k)."""
+    m = tm.span
+    p = FitnessChain(tm).matrix
+    transient = slice(m - 1, 0, -1)
+    return np.eye(m - 1) - p[transient, transient], p[transient, m].copy()
+
+
+def _dense_reference(tm):
+    """Success probability, its log10, and the duration mean and sd from
+    dense solves of order M-1: the scaled success solve with two refinement
+    steps, and plain solves for the duration moments."""
+    k0 = -tm.default_start
+    if k0 == 0:
+        return 1.0, 0.0, 0.0, 0.0
+    a, r = _dense_system(tm)
+    z = _decay_root(tm) or 1.0
+    ks = np.arange(1, tm.span, dtype=float)
+    rows, cols = np.nonzero(a)
+    scaled = np.zeros_like(a)
+    scaled[rows, cols] = a[rows, cols] * np.power(z, ks[cols] - ks[rows])
+    (hit,) = np.nonzero(r)
+    rhs = np.zeros_like(r)
+    rhs[hit] = r[hit] * np.power(z, -ks[hit])
+    y = np.linalg.solve(scaled, rhs)
+    for _ in range(2):
+        y += np.linalg.solve(scaled, rhs - scaled @ y)
+    t = np.linalg.solve(a, np.ones(tm.span - 1))
+    w = np.linalg.solve(a, t)
+    yk, mean = float(y[k0 - 1]), float(t[k0 - 1])
+    var = float(2.0 * w[k0 - 1] - mean - mean * mean)
+    return (yk * z ** k0, k0 * math.log10(z) + math.log10(yk), mean,
+            math.sqrt(max(var, 0.0)))
+
+
+def _bisect_200(tm):
+    """The decay root by 200 bisection steps, the reference for the early
+    exit of ``_decay_root``."""
+    fwd, bwd, stay = jump_probabilities(tm)
+    if not any(p > 0 for p in fwd):
+        return None
+
+    def phi(z):
+        s = stay - 1.0
+        for n, p in enumerate(bwd, start=1):
+            s += p * z ** n
+        for n, p in enumerate(fwd, start=1):
+            s += p * z ** (-n)
+        return s
+
+    lo, hi = 1e-12, 1.0 - 1e-9
+    if phi(hi) >= 0.0:
+        return None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if phi(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# beta on both sides of gamma = (1 - beta)(1 - mu) at every mu
+BAND_GRID = [ThreatModel(beta, mu, f, e)
+             for f in (1, 2, 3, 8, 64) for e in (0, 1, 2, 8)
+             for mu in (0.0, 0.01, 0.1, 0.3) for beta in (0.05, 0.3, 0.45, 0.6)]
 
 
 class TestJumpProbabilities:
@@ -102,9 +172,8 @@ class TestSuccessProbability:
     def test_singular_when_no_transient_states(self):
         # F=1 has no states between the barriers; a valid ThreatModel keeps
         # gamma positive, so this is the one reachable degenerate system
-        from blockclique.security import _transient_system
         with pytest.raises(SingularSystem):
-            _transient_system(ThreatModel(0.3, 0.0, 1, 0))
+            _transient_band(ThreatModel(0.3, 0.0, 1, 0))
 
     def test_f1_success_is_certain_from_parity(self):
         assert attack_success_probability(ThreatModel(0.3, 0.0, 1, 0)) == 1.0
@@ -112,14 +181,34 @@ class TestSuccessProbability:
     def test_no_decay_root_matches_plain_solve(self):
         # beta >= gamma: the walk does not drift toward failure, so the
         # solve runs unscaled
-        from blockclique.security import _decay_root, _transient_system
         tm = ThreatModel(0.5, 0.1, 64, 8)
         assert _decay_root(tm) is None
-        a, r = _transient_system(tm)
+        a, r = _dense_system(tm)
         expected = np.linalg.solve(a, r)[-tm.default_start - 1]
         assert 0.0 < expected < 1.0
         assert attack_success_probability(tm) == pytest.approx(expected, rel=1e-12)
         assert attack_success_log10(tm) == pytest.approx(math.log10(expected), rel=1e-12)
+
+
+class TestBandSolver:
+    @staticmethod
+    def _close(got, want):
+        return abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("f", [1, 2, 3, 8, 64])
+    def test_matches_dense_solves(self, f):
+        for tm in BAND_GRID:
+            if tm.finality != f:
+                continue
+            p, log10_p, mean, sd = _dense_reference(tm)
+            got = attack_success_probability(tm), attack_success_log10(tm)
+            got += attack_duration_stats(tm)
+            for name, g, w in zip(("p", "log10_p", "mean", "sd"), got, (p, log10_p, mean, sd)):
+                assert self._close(g, w), (tm, name, g, w)
+
+    def test_decay_root_early_exit_is_the_200_step_float(self):
+        for tm in BAND_GRID:
+            assert _decay_root(tm) == _bisect_200(tm), tm
 
 
 class TestClosedForm:
