@@ -18,12 +18,21 @@ Maximal cliques of compatible blocks are enumerated as maximal independent
 sets of the (sparse) incompatibility graph via pivoted Bron-Kerbosch on the
 complement. The conflict-free common case short-circuits to a single clique.
 
+Finality needs each active block's descendant fitness. Admission adds a new
+block's fitness to the weight of each of its T active parents and to that
+parent's thread total, with no walk over ancestors. A block's descendant
+fitness is then the sum of the weights over its active own-thread subtree:
+the blocks above it in its thread, itself included. Settlement examines only
+the threads whose total exceeds the threshold, as no block of another thread
+can be deep. On a thread whose active blocks form one chain it walks up from
+the root, subtracting weights.
+
 Headers must be ancestor-consistent, as structural validation enforces: every
 thread-τ ancestor of a block lies on the own-thread chain of its τ-parent, so
-a block's active ancestors are T own-thread walks. Consensus trusts this rule
-and does not re-check it; ``replay --no-validate`` feeds unchecked headers.
-Their shape (``chain.shape_violations``) is checked by the block store even
-then.
+the own-thread subtree sums count exactly a block's active descendants.
+Consensus trusts this rule and does not re-check it; ``replay --no-validate``
+feeds unchecked headers. Their shape (``chain.shape_violations``) is checked
+by the block store even then.
 """
 
 from __future__ import annotations
@@ -43,6 +52,9 @@ STATUS_STALE = "stale"
 
 DEFAULT_CLIQUE_CAP = 1024
 
+# a thread's ``CompatibilityState._tip`` when its active blocks are not one chain
+_FORKED = object()
+
 
 class DagIndex:
     """The process's header map (``headers``) and, per live block, the ids
@@ -50,18 +62,31 @@ class DagIndex:
     symmetric and sparse). A block is live from ``add`` until every state
     sharing the index has settled it: a state's active blocks are all live,
     so its direct conflicts are ``conflicts[b]`` restricted to its active
-    set. Settlement is monotone, so dropping a block then is exact."""
+    set. Settlement is monotone, so dropping a block then is exact.
+    ``threads[τ]`` holds the live thread-τ blocks in the order they were
+    added, which is parent-first: a state adds a block only after its
+    parents, and an active parent is live."""
 
     def __init__(self, headers: Optional[dict[bytes, HeaderMeta]] = None):
         self.headers: dict[bytes, HeaderMeta] = {} if headers is None else headers
         self.conflicts: dict[bytes, set[bytes]] = {}
         self.live: dict[bytes, HeaderMeta] = {}
+        self.threads: list[dict[bytes, HeaderMeta]] = []
+        self._genesis: list[HeaderMeta] = []
         self._settled: dict[bytes, int] = {}    # id -> states that settled it, until all have
         self._states = 0
 
-    def register(self) -> None:
-        """Count one more state that will call ``settle``."""
+    def register(self, thread_count: int) -> list[HeaderMeta]:
+        """Count one more state that will call ``settle``, and return the
+        genesis headers of its threads. They are built once per index and
+        shared, as ``covers`` compares headers by identity."""
         self._states += 1
+        gs = self._genesis
+        while len(gs) < thread_count:
+            g = HeaderMeta.from_block(make_genesis(len(gs)))
+            gs.append(self.headers.setdefault(g.id, g))
+            self.threads.append({})
+        return gs[:thread_count]
 
     def add(self, meta: HeaderMeta) -> None:
         """Record a block's direct conflicts with the live blocks, in both
@@ -85,6 +110,7 @@ class DagIndex:
                 conflicts.setdefault(bid, set()).add(x.id)
                 conflicts.setdefault(x.id, set()).add(bid)
         live[bid] = meta
+        self.threads[meta.thread][bid] = meta
 
     def settle(self, bid: bytes) -> None:
         """One state has settled the block (final or stale); once all have,
@@ -94,7 +120,9 @@ class DagIndex:
             self._settled[bid] = count
             return
         self._settled.pop(bid, None)
-        self.live.pop(bid, None)
+        meta = self.live.pop(bid, None)
+        if meta is not None:
+            del self.threads[meta.thread][bid]
         for other in self.conflicts.pop(bid, ()):
             self.conflicts[other].discard(bid)
 
@@ -116,25 +144,29 @@ class CompatibilityState:
         self.threshold = params.finality_threshold
         self.clique_cap = clique_cap
         self.index = DagIndex() if index is None else index
-        self.index.register()
+        genesis = self.index.register(params.thread_count)
         self.headers = self.index.headers
         self.active: dict[bytes, HeaderMeta] = {}
         self._incompat: dict[bytes, set[bytes]] = {}
         self._edge_count = 0
-        self._desc_fitness: dict[bytes, int] = {}
-        # the active blocks whose descendant fitness exceeds the threshold
-        self._deep: dict[bytes, None] = {}
+        # per active block, the fitness of the active blocks naming it as a
+        # parent; per thread, the sum of that over its active blocks, and the
+        # threads where that total exceeds the threshold
+        self._weight: dict[bytes, int] = {}
+        self._thread_weight = [0] * params.thread_count
+        self._over: set[int] = set()
+        # per thread, the top of its active blocks while they form one
+        # own-parent chain, None while it has none, else _FORKED
+        self._tip: list = [None] * params.thread_count
         self._latest_final: list[Optional[tuple[int, bytes]]] = [None] * params.thread_count
         self.final_set: set[bytes] = set()
         self.stale_set: set[bytes] = set()
         self._total_fitness = 0
         self._cliques: Optional[list[tuple[frozenset, int]]] = None
-        self.genesis_ids: list[bytes] = []
-        for tau in range(params.thread_count):
-            g = HeaderMeta.from_block(make_genesis(tau))
+        self.genesis_ids = [g.id for g in genesis]
+        for g in genesis:
             self.index.add(g)
-            self.genesis_ids.append(g.id)
-            self._admit(self.headers[g.id])
+            self._admit(g, all_active=False)
 
     # -- queries -------------------------------------------------------------
 
@@ -159,48 +191,49 @@ class CompatibilityState:
         status = self.status(meta.id)
         if status is not None:
             return status
-        active, final, stale = self.active, self.final_set, self.stale_set
-        for p in meta.parents:
-            if p not in active and p not in final and p not in stale:
-                raise UnprocessedParent(f"parent {p.hex()[:16]} not processed")
+        active, parents = self.active, meta.parents
+        # only a parent that is not active can be unprocessed, stale, or a
+        # final block that the new one conflicts with
+        all_active = all(map(active.__contains__, parents))
+        if not all_active:
+            final, stale = self.final_set, self.stale_set
+            for p in parents:
+                if p not in active and p not in final and p not in stale:
+                    raise UnprocessedParent(f"parent {p.hex()[:16]} not processed")
         meta = self.headers.setdefault(meta.id, meta)
-
-        if not stale.isdisjoint(meta.parents):
-            return self._stale(meta.id)
-        if not self._frontier_compatible(meta):
-            # in conflict with an already-final block: can never join the
-            # blockclique again
+        if not all_active and (not stale.isdisjoint(parents)
+                               or not self._frontier_compatible(meta)):
+            # a stale parent, or a conflict with an already-final block: can
+            # never join the blockclique again
             return self._stale(meta.id)
 
         incompat = self._incompat
-        active_parents = [p for p in meta.parents if p in active]
-        # parents carrying mutual conflicts make the block permanently stale;
-        # edges are symmetric, so one test per parent covers every pair
-        for p in active_parents:
-            edges = incompat.get(p)
-            if edges and not edges.isdisjoint(active_parents):
+        conflicts: set[bytes] = set()
+        if self._edge_count:
+            active_parents = parents if all_active else [p for p in parents if p in active]
+            for p in active_parents:
+                edges = incompat.get(p)
+                if edges:
+                    conflicts |= edges
+            # parents carrying mutual conflicts make the block permanently
+            # stale; edges are symmetric, so the parents' edges cover every pair
+            if not conflicts.isdisjoint(active_parents):
                 return self._stale(meta.id)
 
         self.index.add(meta)
-        mine = self.index.conflicts.get(meta.id)
-        direct = {x for x in mine if x in active} if mine else set()
-
-        conflicts: set[bytes] = set()
-        for p in active_parents:
-            edges = incompat.get(p)
-            if edges:
-                conflicts |= edges
-        # descendants of a direct conflict inherit the new edge; those of a
-        # parent's conflict are in that parent's edges already
-        seeds = direct - conflicts
-        if seeds:
-            conflicts |= seeds
-            conflicts.update(self._descendants(seeds))
-        if conflicts and not conflicts.isdisjoint(meta.parents):
+        direct = self.index.conflicts.get(meta.id)
+        if direct:
+            # descendants of a direct conflict inherit the new edge; those of
+            # a parent's conflict are in that parent's edges already
+            seeds = {x for x in direct if x in active and x not in conflicts}
+            if seeds:
+                conflicts |= seeds
+                conflicts.update(self._descendants(seeds))
+        if conflicts and not conflicts.isdisjoint(parents):
             # incompatible with one of its own parents under the recursive rule
             return self._stale(meta.id)
 
-        self._admit(meta)
+        self._admit(meta, all_active)
         if conflicts:
             mine = incompat.setdefault(meta.id, set())
             for cid in conflicts:
@@ -238,28 +271,76 @@ class CompatibilityState:
         self.index.settle(bid)
         return STATUS_STALE
 
-    def _admit(self, meta: HeaderMeta) -> None:
-        bid = meta.id
-        self._bump_ancestors(meta, meta.fitness)
+    def _admit(self, meta: HeaderMeta, all_active: bool) -> None:
+        """Make the block active: its fitness joins the weight of each active
+        parent and that parent's thread total, T steps with no chain walk."""
+        bid, fit, tau = meta.id, meta.fitness, meta.thread
+        weight, totals, threshold = self._weight, self._thread_weight, self.threshold
+        for sigma, pid in enumerate(meta.parents):
+            if all_active or pid in weight:
+                weight[pid] += fit
+                total = totals[sigma] = totals[sigma] + fit
+                if total > threshold:
+                    self._over.add(sigma)
+        weight[bid] = 0
         self.active[bid] = meta
-        self._desc_fitness[bid] = 0
-        self._total_fitness += meta.fitness
+        tip = self._tip[tau]
+        if tip is None:
+            self._tip[tau] = bid
+        elif tip is not _FORKED:
+            self._tip[tau] = bid if meta.own_parent == tip else _FORKED
+        self._total_fitness += fit
         self._cliques = None
 
-    def _bump_ancestors(self, meta: HeaderMeta, delta: int) -> None:
-        """Add ``delta`` to the descendant fitness of ``meta``'s active strict
-        ancestors, keeping ``_deep`` in step. Per thread they are the active
-        top of its parent's own-thread chain, exactly for ancestor-consistent
-        headers; the T walks are disjoint, as each stays in its thread."""
-        active, desc, deep, threshold = self.active, self._desc_fitness, self._deep, self.threshold
-        for pid in meta.parents:
-            while pid in active:
-                d = desc[pid] = desc[pid] + delta
-                if d > threshold:
-                    deep[pid] = None
-                elif delta < 0:
-                    deep.pop(pid, None)
-                pid = active[pid].own_parent
+    def _chain_tip(self, tau: int):
+        """Thread τ's ``_tip`` recounted from its active blocks, which the
+        index lists parent-first: they form one chain exactly when each names
+        the one before it as its own-thread parent."""
+        active = self.active
+        tip = None
+        for bid, meta in self.index.threads[tau].items():
+            if bid in active:
+                if tip is not None and meta.own_parent != tip:
+                    return _FORKED
+                tip = bid
+        return tip
+
+    def _deep_blocks(self) -> dict[bytes, int]:
+        """The active blocks whose descendant fitness exceeds the threshold,
+        mapped to it, parent-first within each thread.
+
+        A block's descendant fitness is the sum of ``_weight`` over its active
+        own-thread subtree, which for ancestor-consistent headers is the
+        fitness of its active descendants. It never grows going up a thread
+        and never exceeds the thread's total, so only the threads in
+        ``_over`` are examined, in the index's parent-first order. On a
+        chain, the walk up from its root subtracts each block's weight and
+        stops at the first block that is not deep; on any other thread, one
+        pass from the top sums each subtree."""
+        threshold = self.threshold
+        deep: dict[bytes, int] = {}
+        active, weight = self.active, self._weight
+        for tau in self._over:
+            if self._tip[tau] is not _FORKED:
+                total = self._thread_weight[tau]
+                for bid in self.index.threads[tau]:
+                    if bid in active:
+                        deep[bid] = total
+                        total -= weight[bid]
+                        if total <= threshold:
+                            break
+                continue
+            below: dict[Optional[bytes], int] = {}
+            found = []
+            for bid in reversed(self.index.threads[tau]):
+                if bid in active:
+                    d = below.pop(bid, 0) + weight[bid]
+                    own = active[bid].own_parent
+                    below[own] = below.get(own, 0) + d
+                    if d > threshold:
+                        found.append((bid, d))
+            deep.update(reversed(found))
+        return deep
 
     def _descendants(self, seeds: set[bytes]) -> list[bytes]:
         """Ids of active blocks having an active seed as a strict ancestor,
@@ -353,6 +434,9 @@ class CompatibilityState:
         threshold. Both rules are evaluated on the same pre-removal snapshot.
         """
         cliques = self.maximal_cliques()
+        deep = self._deep_blocks()
+        if not deep and len(cliques) == 1:
+            return [], []
         bc_fitness = cliques[0][1]
         threshold = self.threshold
         incompat = self._incompat
@@ -370,31 +454,31 @@ class CompatibilityState:
                 newly_stale.update(self._descendants(newly_stale))
 
         newly_final: list[bytes] = []
-        desc = self._desc_fitness
         if len(cliques) == 1:
-            newly_final = [bid for bid in self._deep if not incompat.get(bid)]
+            newly_final = [bid for bid in deep if not incompat.get(bid)]
         else:
             # an edge-free block is in every clique; the fitness of its
-            # descendants inside a clique is its exact _desc_fitness minus
-            # that of those outside, which all have edges. y descends from x
-            # iff y's parent in x's thread covers x
+            # descendants inside a clique is its exact descendant fitness
+            # minus that of those outside, which all have edges. y descends
+            # from x iff y's parent in x's thread covers x
             meta_map = self.headers
             outsiders = [[meta_map[v] for v, edges in incompat.items()
                           if edges and v not in members] for members, _ in cliques]
-            for bid in self._deep:
+            for bid, desc in deep.items():
                 if bid in newly_stale or incompat.get(bid):
                     continue
                 x = meta_map[bid]
                 for out in outsiders:
                     outside = sum(y.fitness for y in out
                                   if covers(meta_map, x, meta_map[y.parents[x.thread]]))
-                    if desc[bid] - outside > threshold:
+                    if desc - outside > threshold:
                         newly_final.append(bid)
                         break
 
         if newly_stale or newly_final:
-            # remove stale descendants before their ancestors so weight
-            # decrements still propagate through intermediate blocks
+            # stale descendants go before their ancestors and finals
+            # parent-first, so that each removal takes the top or the root of
+            # a chain and leaves its thread a chain
             if newly_stale:
                 for bid in [b for b in reversed(self.active) if b in newly_stale]:
                     self._remove(bid, stale=True)
@@ -407,7 +491,11 @@ class CompatibilityState:
         return sorted(newly_final, key=order), sorted(newly_stale, key=order)
 
     def _remove(self, bid: bytes, stale: bool) -> None:
-        meta = self.active.pop(bid)
+        """Settle an active block. A final block's parents finalize in the
+        same pass (they are edge-free and deeper), so only a stale one takes
+        its fitness back from its parents' weights."""
+        active, weight, totals = self.active, self._weight, self._thread_weight
+        meta = active.pop(bid)
         self._total_fitness -= meta.fitness
         edges = self._incompat.pop(bid, None)
         if edges:
@@ -416,18 +504,90 @@ class CompatibilityState:
                 if oset is not None:
                     oset.discard(bid)
                     self._edge_count -= 1
-        self._desc_fitness.pop(bid, None)
-        self._deep.pop(bid, None)
+        tau = meta.thread
+        totals[tau] -= weight.pop(bid)
+        if totals[tau] <= self.threshold:
+            self._over.discard(tau)
+        tip = self._tip[tau]
+        if tip == bid:
+            self._tip[tau] = meta.own_parent if meta.own_parent in active else None
+        elif tip is _FORKED or meta.own_parent in active:
+            # a forked thread may now be one chain; a chain loses a middle
+            # block only if it is split in two
+            self._tip[tau] = self._chain_tip(tau)
         self.index.settle(bid)
         if stale:
             self.stale_set.add(bid)
-            # the block no longer counts toward its ancestors' settled weight
-            self._bump_ancestors(meta, -meta.fitness)
+            for sigma, pid in enumerate(meta.parents):
+                if pid in weight:
+                    weight[pid] -= meta.fitness
+                    totals[sigma] -= meta.fitness
+                    if totals[sigma] <= self.threshold:
+                        self._over.discard(sigma)
         else:
             self.final_set.add(bid)
-            cur = self._latest_final[meta.thread]
+            cur = self._latest_final[tau]
             if cur is None or (meta.period, bid) > cur:
-                self._latest_final[meta.thread] = (meta.period, bid)
+                self._latest_final[tau] = (meta.period, bid)
+
+    def check_invariants(self) -> None:
+        """Recount the bookkeeping from the active headers; raise
+        AssertionError on the first mismatch. The active, final and stale
+        sets are disjoint; ``_incompat`` is symmetric, joins active blocks
+        only, and holds ``_edge_count`` edges; ``_weight``, the thread totals,
+        ``_over`` and ``_tip`` match their definitions; and every deep block
+        lies in a thread that settlement examines, where ``_deep_blocks``
+        finds it with its exact descendant fitness."""
+        active, final, stale = self.active, self.final_set, self.stale_set
+        if not (final.isdisjoint(active) and stale.isdisjoint(active)
+                and final.isdisjoint(stale)):
+            raise AssertionError("the active, final and stale sets overlap")
+        ends = 0
+        for bid, others in self._incompat.items():
+            if bid not in active or not others <= active.keys():
+                raise AssertionError(f"edge at inactive block {bid.hex()[:16]}")
+            if any(bid not in self._incompat[o] for o in others):
+                raise AssertionError(f"asymmetric edge at {bid.hex()[:16]}")
+            ends += len(others)
+        if ends != 2 * self._edge_count:
+            raise AssertionError(f"{ends} edge ends for {self._edge_count} edges")
+        weight = dict.fromkeys(active, 0)
+        for meta in active.values():
+            for pid in meta.parents:
+                if pid in weight:
+                    weight[pid] += meta.fitness
+        if weight != self._weight:
+            raise AssertionError("_weight differs from a recount")
+        totals = [0] * self.params.thread_count
+        for bid, w in weight.items():
+            totals[active[bid].thread] += w
+        if totals != self._thread_weight:
+            raise AssertionError("thread totals differ from a recount")
+        for tau in range(self.params.thread_count):
+            blocks = [m for m in active.values() if m.thread == tau]
+            roots = [m for m in blocks if m.own_parent not in active]
+            named = [m.own_parent for m in blocks if m.own_parent in active]
+            tops = [m.id for m in blocks if m.id not in named]
+            if not blocks:
+                tip = None
+            elif len(roots) == 1 and len(set(named)) == len(named):
+                tip = tops[0]
+            else:
+                tip = _FORKED
+            if self._tip[tau] != tip:
+                raise AssertionError(f"thread {tau}'s chain tip is wrong")
+        desc = dict(weight)
+        for bid in reversed(active):     # children before parents
+            own = active[bid].own_parent
+            if own in desc:
+                desc[own] += desc[bid]
+        deep = {bid: d for bid, d in desc.items() if d > self.threshold}
+        if self._over != {tau for tau, total in enumerate(totals) if total > self.threshold}:
+            raise AssertionError("_over differs from a recount")
+        if any(active[bid].thread not in self._over for bid in deep):
+            raise AssertionError("a thread holding a deep block is not examined")
+        if self._deep_blocks() != deep:
+            raise AssertionError("_deep_blocks differs from a recount")
 
     # -- producer support -----------------------------------------------------
 

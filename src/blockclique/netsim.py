@@ -316,13 +316,15 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
                 slots_scheduled += 1
 
     def relay(sender: int, block_id: bytes, now: float) -> None:
-        """Queue a block for every link peer on the sender's sequential upload
-        channel. Transmissions whose destination already holds the block by
-        the time the channel frees up are skipped without cost."""
+        """Queue a block for every link peer still missing it on the sender's
+        sequential upload channel. Transmissions whose destination gets the
+        block by the time the channel frees up are skipped without cost;
+        ``seen`` only grows, so a peer holding it now would be skipped then."""
         q = send_queue[sender]
         lat = topo.peer_latency[sender]
         for dst in topo.peers[sender]:
-            q.append((dst, lat[dst], block_id))
+            if block_id not in seen[dst]:
+                q.append((dst, lat[dst], block_id))
         if not sending[sender]:
             start_send(sender, now)
 

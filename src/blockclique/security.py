@@ -306,23 +306,32 @@ def closed_form_success(tm: ThreatModel) -> float:
 
 
 def attack_duration_stats(tm: ThreatModel, start: Optional[int] = None) -> tuple[float, float]:
-    """Mean and standard deviation of the attack duration in slots, from the
-    fundamental-matrix identities (mean N 1, variance (2N - I) t - t o t)."""
+    """Mean and standard deviation of the attack duration in slots. The mean
+    solves (I - Q) t = 1. By first-step analysis the variance solves
+    (I - Q) v = s, where s_k = sum_j P_kj (1 + t_j - t_k)^2 over every state j,
+    barriers included with t_j = 0; unlike (2N - I) t - t o t, it subtracts
+    nothing of the size of the squared mean."""
     if start is None:
         start = tm.default_start
     if start >= 0 or start <= -tm.span:
         return 0.0, 0.0
     coeffs, _ = _transient_band(tm)
+    band, _, _ = _band(tm)
+    n, b = tm.span - 1, (len(band) - 1) // 2
     try:
-        lu = _BandLU(coeffs, tm.span - 1)   # one factorisation for both moments
-        t = lu.solve(np.ones(tm.span - 1))
-        w = lu.solve(t)
+        lu = _BandLU(coeffs, n)     # one factorisation for both moments
+        t = lu.solve(np.ones(n))
+        # row b + d of `dev` is 1 + t_j - t_k for the state j d away from k;
+        # past either barrier, where overshooting mass is absorbed, t_j is 0
+        padded = np.ones(n + 2 * b)
+        padded[b:b + n] += t
+        dev = np.lib.stride_tricks.sliding_window_view(padded, n) - t
+        dev *= dev
+        v = lu.solve(band @ dev)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
     k0 = -start
-    mean = float(t[k0 - 1])
-    var = float(2.0 * w[k0 - 1] - mean - mean * mean)
-    return mean, math.sqrt(max(var, 0.0))
+    return float(t[k0 - 1]), math.sqrt(max(float(v[k0 - 1]), 0.0))
 
 
 def duration_tail_bound(tm: ThreatModel, n: int) -> float:

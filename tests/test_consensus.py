@@ -4,7 +4,7 @@ import random
 import pytest
 
 from blockclique.chain import (Block, BlockStore, HeaderMeta, ProtocolParams, Slot, covers,
-                               incompatible, write_trace)
+                               incompatible, make_genesis, write_trace)
 from blockclique.consensus import CompatibilityState, DagIndex, replay_trace
 from blockclique.errors import CliqueExplosion, UnknownBlock, UnprocessedParent
 
@@ -364,10 +364,12 @@ class TestAncestry:
     the index's scan skip them. The index's conflicts of an active block,
     restricted to the active set, are exactly its direct conflicts there, and
     the relation is symmetric. The one-pass descendant search finds exactly
-    the active descendants, and the descendant fitness, which the own-thread
-    walks keep, is exactly their sum; multi-clique finality reads it as is,
-    and the blocks it puts over the threshold are exactly the crossing set
-    that finality iterates. Wherever admission asks it (no parent is stale),
+    the active descendants, and the descendant fitness, the sum of the
+    child weights over a block's active own-thread subtree, is exactly their
+    sum; multi-clique finality reads it as is, and the blocks it puts over
+    the threshold are exactly the deep set that settlement finds from the
+    thread totals. The state's invariants hold after every step. Wherever
+    admission asks it (no parent is stale),
     the final-frontier check, which walks only the finals above each final
     parent, agrees with a direct-conflict test against every final block."""
 
@@ -383,13 +385,11 @@ class TestAncestry:
                     not any(incompatible(headers, meta_b, headers[f])
                             for f in engine.final_set))
             engine.add_block(b)
+            engine.check_invariants()
             reference.meta[b.id] = engine.headers[b.id]
             active = engine.active
-            # "processed" is membership in one of the three sets
-            assert active.keys().isdisjoint(engine.final_set)
-            assert active.keys().isdisjoint(engine.stale_set)
-            assert engine.final_set.isdisjoint(engine.stale_set)
             above = {bid: reference._ancestors(bid) for bid in active}
+            exact = {}
             # a private index holds exactly the state's active blocks
             assert engine.index.live.keys() == active.keys()
             conflicts = engine.index.conflicts
@@ -402,9 +402,23 @@ class TestAncestry:
                 assert all(bid in conflicts[x] for x in conflicts.get(bid, ()))
                 below = sorted(d for d in active if bid in above[d])
                 assert sorted(engine._descendants({bid})) == below
-                assert engine._desc_fitness[bid] == sum(active[d].fitness for d in below)
-            assert engine._deep.keys() == {
-                a for a in active if engine._desc_fitness[a] > engine.threshold}
+                exact[bid] = sum(active[d].fitness for d in below)
+                assert TestAncestry._subtree_weight(engine, bid) == exact[bid]
+            assert engine._deep_blocks() == {
+                a: d for a, d in exact.items() if d > engine.threshold}
+
+    @staticmethod
+    def _subtree_weight(engine, bid):
+        """The sum of ``_weight`` over the active blocks whose own-thread
+        chain reaches ``bid`` through active blocks."""
+        active = engine.active
+        total = 0
+        for y, meta in active.items():
+            while meta.id != bid and meta.own_parent in active:
+                meta = active[meta.own_parent]
+            if meta.id == bid:
+                total += engine._weight[y]
+        return total
 
     def test_random_instances(self):
         rng = random.Random(31)
@@ -443,6 +457,70 @@ class TestAncestry:
         assert st.add_block(c)[0] == "stale"
 
 
+class TestForkedThreads:
+    """Settlement on a thread whose total child weight is over the threshold
+    although its active blocks are not one chain, so the total overstates
+    some block's descendant fitness: finality and staling match the oracle
+    after every step."""
+
+    @staticmethod
+    def _run(p, blocks):
+        engine = CompatibilityState(p)
+        oracle = OracleConsensus(p)
+        for b in blocks:
+            assert engine.add_block(b)[0] == oracle.add_block(b)
+            engine.check_invariants()
+            snap = oracle.snapshot()
+            assert engine.final_set == snap["final"]
+            assert engine.stale_set == snap["stale"]
+        return engine
+
+    def test_two_roots_neither_deep(self):
+        # a1 is final, and a2 and b both name it as their own parent: two
+        # active roots whose weights together exceed the threshold of 1
+        p = params(t=1, f=1)
+        g0 = make_genesis(0).id
+        a1 = blk(0, 1, [g0])
+        a2 = blk(0, 2, [a1.id])
+        a3 = blk(0, 3, [a2.id])
+        b = blk(0, 4, [a1.id])
+        b1 = blk(0, 5, [b.id])
+        st = self._run(p, [a1, a2, a3, b, b1])
+        assert st.final_set == {g0, a1.id}
+        assert set(st.active) == {a2.id, a3.id, b.id, b1.id}
+        assert st._thread_weight[0] > st.threshold
+        assert st._deep_blocks() == {}
+
+    def test_chain_forking_above_its_root(self):
+        # a1 is the root; b1 and b2 fork on it. a1 is deep, but each clique
+        # leaves one branch outside until c1 makes {a1, b1, c1} deep enough
+        p = params(t=1, f=1)
+        g0 = make_genesis(0).id
+        a1 = blk(0, 1, [g0])
+        b1 = blk(0, 2, [a1.id])
+        b2 = blk(0, 3, [a1.id])
+        c1 = blk(0, 4, [b1.id])
+        c2 = blk(0, 5, [c1.id])
+        st = self._run(p, [a1, b1, b2])
+        assert st.final_set == {g0}
+        assert st._deep_blocks() == {a1.id: 2}
+        st = self._run(p, [a1, b1, b2, c1, c2])
+        assert a1.id in st.final_set and b2.id in st.stale_set
+
+    def test_forked_thread_beside_a_chain(self):
+        # thread 0 forks above its root while thread 1 stays one chain
+        p = params(t=2, f=2)
+        g0, g1 = make_genesis(0).id, make_genesis(1).id
+        x1 = blk(0, 1, [g0, g1])
+        y1 = blk(1, 1, [x1.id, g1])
+        x2 = blk(0, 2, [x1.id, y1.id])
+        x3 = blk(0, 3, [x1.id, y1.id])
+        y2 = blk(1, 2, [x2.id, y1.id])
+        x4 = blk(0, 4, [x2.id, y2.id])
+        y3 = blk(1, 3, [x4.id, y2.id])
+        self._run(p, [x1, y1, x2, x3, y2, x4, y3])
+
+
 class TestSharedHeaders:
     """States that share one ``DagIndex`` still each process only what they
     are fed: a shared index changes no state's statuses, cliques or
@@ -477,6 +555,7 @@ class TestSharedHeaders:
         for step in range(len(blocks)):
             for order, st, ref in zip(orders, shared, private):
                 assert st.add_block(order[step]) == ref.add_block(order[step])
+                st.check_invariants()
                 assert self._outcome(st, blocks) == self._outcome(ref, blocks)
                 # one header object per id, whichever state read it first
                 assert all(index.headers[bid] is meta for bid, meta in st.active.items())
@@ -501,7 +580,6 @@ class TestSharedHeaders:
 class TestReplay:
     def _trace(self, blocks, p):
         buf = io.StringIO()
-        from blockclique.chain import make_genesis
         write_trace([make_genesis(t) for t in range(p.thread_count)], buf)
         write_trace(blocks, buf)
         buf.seek(0)

@@ -25,7 +25,8 @@ def _dense_system(tm):
 def _dense_reference(tm):
     """Success probability, its log10, and the duration mean and sd from
     dense solves of order M-1: the scaled success solve with two refinement
-    steps, and plain solves for the duration moments."""
+    steps, and plain solves for the duration moments, the variance from the
+    first-step sums over ``FitnessChain.matrix``'s rows."""
     k0 = -tm.default_start
     if k0 == 0:
         return 1.0, 0.0, 0.0, 0.0
@@ -42,9 +43,13 @@ def _dense_reference(tm):
     for _ in range(2):
         y += np.linalg.solve(scaled, rhs - scaled @ y)
     t = np.linalg.solve(a, np.ones(tm.span - 1))
-    w = np.linalg.solve(a, t)
-    yk, mean = float(y[k0 - 1]), float(t[k0 - 1])
-    var = float(2.0 * w[k0 - 1] - mean - mean * mean)
+    rows = tm.span - np.arange(1, tm.span)
+    t_all = np.zeros(tm.span + 1)          # 0 at both barriers
+    t_all[rows] = t
+    p = FitnessChain(tm).matrix[rows]
+    s = (p * (1.0 + t_all[None, :] - t[:, None]) ** 2).sum(axis=1)
+    v = np.linalg.solve(a, s)
+    yk, mean, var = float(y[k0 - 1]), float(t[k0 - 1]), float(v[k0 - 1])
     return (yk * z ** k0, k0 * math.log10(z) + math.log10(yk), mean,
             math.sqrt(max(var, 0.0)))
 
@@ -242,6 +247,15 @@ class TestDuration:
         mean, std = attack_duration_stats(ThreatModel(0.0, 0.0, 8, 0))
         assert mean == pytest.approx(1.0)
         assert std == pytest.approx(0.0, abs=1e-9)
+
+    def test_sd_without_cancellation(self):
+        # a tight walk whose sd is about 1.5% of its mean: the first-step
+        # variance keeps the digits that 2N t - t - t^2 cancels away (1.2e-11
+        # relative). The reference solves the same walk, its probabilities
+        # taken from the decimal inputs, by banded elimination at 50 digits
+        # (mpmath); the float inputs' own exact sd is 0.967268797014009.
+        _, std = attack_duration_stats(ThreatModel(0.0, 0.01, 64, 3), start=-1)
+        assert std == pytest.approx(0.96726879701400562, rel=1e-14)
 
     def test_matrix_matches_monte_carlo(self):
         tm = ThreatModel(0.5, 0.01, 16, 2)
