@@ -33,11 +33,60 @@ the own-thread subtree sums count exactly a block's active descendants.
 Consensus trusts this rule and does not re-check it; ``replay --no-validate``
 feeds unchecked headers. Their shape (``chain.shape_violations``) is checked
 by the block store even then.
+
+Every node of a simulation runs this state machine over the same blocks, and
+most nodes process the same sets. A ``CompatibilityState`` is one node's
+handle on a ``ConsensusView``, which holds all of the bookkeeping above, and
+handles whose processed sets are equal share one view where that is exact.
+The ``DagIndex`` publishes views under a key of the processed set S: its size
+times 2^256 plus the XOR of its blocks' 256-bit ids, a Zobrist-style hash
+(Zobrist, "A New Hashing Method with Application for Game Playing", 1970), in
+one integer. Ids are SHA-256 digests, so two sets of one size share a key with
+probability 2^-256. A handle extending S by one block adopts the view
+published under the key of the grown set, if there is one; otherwise it
+extends its own view in place when no other handle holds it, and a copy when
+one does. Only a *clean* view is published: settled (``update_finality`` ran
+after its last admission), with no edge and no stale block. Sharing is exact
+because:
+
+- Cleanliness is a property of S alone. Every edge and every stale block
+  stems from a direct conflict between two processed blocks: an edge joins
+  the descendants of one; admission stales a block for a stale parent, an
+  edge, or a direct conflict with a final block; and the clique rule needs
+  two cliques, hence an edge. Conversely, if S holds a directly conflicting
+  pair, the later of the two to be processed meets the earlier active (an
+  edge, or a stale block), final (admission stales it) or stale. Edges leave
+  a view only with a staled block, so a clean view was clean all along.
+- In a clean view there are no edges, so there is one clique, and each
+  thread's active blocks form one chain (two on one own parent would
+  conflict).
+- A settled clean view is a function of S. Descendant fitness only grows as
+  blocks are added, and a descendant of an active block is never final, so
+  the final blocks are exactly the deep blocks of S: those whose descendants
+  in S weigh more than the threshold. The rest of S is active, and weights,
+  thread totals, chain tips, final tips and the clique follow from those two
+  sets. Only the insertion order of ``active`` depends on the processing
+  order, and nothing reads that order on a clean view.
+- So an adopted view equals the view a private state would reach in the
+  handle's own order. ``update_finality`` then returns the blocks finalized
+  since the handle last asked: each thread's finals form one own-parent chain
+  from its genesis (no two finals conflict, so none share an own parent, and
+  a final's own parent is final), walked down from the new final tip to the
+  old one. An adoption stales nothing.
+
+A dirty view is never published: which blocks stale can depend on the order
+in which they arrived. A handle that replays a trace owns its index and never
+shares a view.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
+import weakref
+from collections import Counter
+from itertools import compress
+from operator import ne
 from typing import Iterable, Optional
 
 from .chain import (Block, BlockStore, HeaderMeta, ProtocolParams, covers, incompatible,
@@ -52,41 +101,57 @@ STATUS_STALE = "stale"
 
 DEFAULT_CLIQUE_CAP = 1024
 
-# a thread's ``CompatibilityState._tip`` when its active blocks are not one chain
+# a thread's ``ConsensusView._tip`` when its active blocks are not one chain
 _FORKED = object()
+
+# one block in the size part of a processed-set key, above the 256-bit XOR
+_ONE_BLOCK = 1 << 256
 
 
 class DagIndex:
-    """The process's header map (``headers``) and, per live block, the ids
-    of the live blocks that directly conflict with it (``conflicts``, kept
-    symmetric and sparse). A block is live from ``add`` until every state
-    sharing the index has settled it: a state's active blocks are all live,
-    so its direct conflicts are ``conflicts[b]`` restricted to its active
-    set. Settlement is monotone, so dropping a block then is exact.
-    ``threads[τ]`` holds the live thread-τ blocks in the order they were
-    added, which is parent-first: a state adds a block only after its
-    parents, and an active parent is live."""
+    """The process's header map (``headers``); per live block, the ids of the
+    live blocks that directly conflict with it (``conflicts``, kept symmetric
+    and sparse); and the consensus views of the handles that share it.
+
+    A block is live from ``add`` until every registered view has settled it:
+    a view's active blocks are all live, so its direct conflicts are
+    ``conflicts[b]`` restricted to its active set. Settlement is monotone, so
+    dropping a block then is exact. ``threads[τ]`` holds the live thread-τ
+    blocks in the order they were added, which is parent-first: a view adds a
+    block only after its parents, and an active parent is live.
+
+    ``handles`` holds the handles sharing the index, which share one protocol
+    and clique cap; ``views`` maps a processed-set key to the clean view
+    published under it (module docstring). A view is registered while some
+    handle holds it. The index refers to both weakly, so that a finished run's
+    consensus state is freed when its handles are, without waiting for the
+    cycle collector."""
 
     def __init__(self, headers: Optional[dict[bytes, HeaderMeta]] = None):
         self.headers: dict[bytes, HeaderMeta] = {} if headers is None else headers
         self.conflicts: dict[bytes, set[bytes]] = {}
         self.live: dict[bytes, HeaderMeta] = {}
         self.threads: list[dict[bytes, HeaderMeta]] = []
-        self._genesis: list[HeaderMeta] = []
-        self._settled: dict[bytes, int] = {}    # id -> states that settled it, until all have
-        self._states = 0
+        self.genesis: list[HeaderMeta] = []
+        self.rules: Optional[tuple[ProtocolParams, int]] = None
+        self.handles: weakref.WeakSet[CompatibilityState] = weakref.WeakSet()
+        self.views: dict[int, weakref.ref[ConsensusView]] = {}
+        self._view_count = 0
+        self._settled: dict[bytes, int] = {}    # id -> views that settled it, until all have
 
-    def register(self, thread_count: int) -> list[HeaderMeta]:
-        """Count one more state that will call ``settle``, and return the
-        genesis headers of its threads. They are built once per index and
-        shared, as ``covers`` compares headers by identity."""
-        self._states += 1
-        gs = self._genesis
-        while len(gs) < thread_count:
-            g = HeaderMeta.from_block(make_genesis(len(gs)))
-            gs.append(self.headers.setdefault(g.id, g))
-            self.threads.append({})
-        return gs[:thread_count]
+    def attach(self, handle: CompatibilityState) -> None:
+        """Add a handle. The first fixes the rules and builds the genesis
+        headers, once per index, as ``covers`` compares headers by identity."""
+        rules = (handle.params, handle.clique_cap)
+        if self.rules is None:
+            self.rules = rules
+            for tau in range(handle.params.thread_count):
+                g = HeaderMeta.from_block(make_genesis(tau))
+                self.genesis.append(self.headers.setdefault(g.id, g))
+                self.threads.append({})
+        elif rules != self.rules:
+            raise ValueError("handles sharing a DagIndex need one protocol and clique cap")
+        self.handles.add(handle)
 
     def add(self, meta: HeaderMeta) -> None:
         """Record a block's direct conflicts with the live blocks, in both
@@ -112,13 +177,59 @@ class DagIndex:
         live[bid] = meta
         self.threads[meta.thread][bid] = meta
 
+    def register(self, view: ConsensusView) -> None:
+        """Count one more view. A copy has settled what its original has, so
+        it joins the settle counts of those blocks."""
+        self._view_count += 1
+        settled = self._settled
+        for bid in settled:
+            if view.settled(bid):
+                settled[bid] += 1
+
+    def lookup(self, key: int) -> Optional[ConsensusView]:
+        """The view published under a processed-set key, if any."""
+        ref = self.views.get(key)
+        return None if ref is None else ref()
+
+    def published(self, view: ConsensusView) -> bool:
+        return self.lookup(view.key) is view
+
+    def publish(self, view: ConsensusView) -> None:
+        """Publish a clean, settled view under its key, unless one is."""
+        if view.key not in self.views:
+            self.views[view.key] = weakref.ref(view)
+
+    def unpublish(self, view: ConsensusView) -> None:
+        if self.published(view):
+            del self.views[view.key]
+
+    def release(self, view: ConsensusView) -> None:
+        """A view no handle holds any more: unpublish and unregister it. Its
+        settle counts leave with it, and so do the blocks that every remaining
+        view has settled."""
+        self.unpublish(view)
+        self._view_count -= 1
+        remaining = self._view_count
+        for bid, count in list(self._settled.items()):
+            if view.settled(bid):
+                count -= 1
+            if count >= remaining:
+                self._drop(bid)
+            elif count:
+                self._settled[bid] = count
+            else:
+                del self._settled[bid]
+
     def settle(self, bid: bytes) -> None:
-        """One state has settled the block (final or stale); once all have,
+        """One view has settled the block (final or stale); once all have,
         it leaves the live set and its conflicts with it."""
         count = self._settled.get(bid, 0) + 1
-        if count < self._states:
+        if count < self._view_count:
             self._settled[bid] = count
-            return
+        else:
+            self._drop(bid)
+
+    def _drop(self, bid: bytes) -> None:
         self._settled.pop(bid, None)
         meta = self.live.pop(bid, None)
         if meta is not None:
@@ -126,26 +237,61 @@ class DagIndex:
         for other in self.conflicts.pop(bid, ()):
             self.conflicts[other].discard(bid)
 
+    def check_invariants(self) -> None:
+        """Recount the sharing layer; raise AssertionError on the first
+        mismatch. The registered views are the ones handles hold, each view's
+        ``holders`` counts them, and a view held twice is published. Every
+        published view is clean, settled, and stored under its processed
+        set's key. The settle counts match a recount, and the live set is
+        exactly the added blocks that some registered view has not settled."""
+        views = {id(h.view): h.view for h in self.handles}
+        holders = Counter(id(h.view) for h in self.handles)
+        if len(views) != self._view_count:
+            raise AssertionError(f"{self._view_count} views registered, {len(views)} held")
+        for key, view in views.items():
+            if view.holders != holders[key]:
+                raise AssertionError(f"a view counts {view.holders} holders, "
+                                     f"{holders[key]} handles hold it")
+            if view.holders > 1 and not self.published(view):
+                raise AssertionError("a shared view is not published")
+        for key in self.views:
+            view = self.lookup(key)
+            if view is None or id(view) not in views:
+                raise AssertionError("a published view is not registered")
+            if not view.clean or view._deep_blocks():
+                raise AssertionError("a published view is not clean and settled")
+            if key != _set_key(view.processed()):
+                raise AssertionError("a published view is stored under a wrong key")
+        recount = dict.fromkeys(self.live, 0)
+        for view in views.values():
+            for bid in view.processed():
+                recount[bid] = recount.get(bid, 0) + view.settled(bid)
+        for bid, count in recount.items():
+            if (count < len(views)) != (bid in self.live):
+                raise AssertionError(f"block {bid.hex()[:16]} is live but settled by every "
+                                     "view, or dropped but unsettled by one")
+        if self._settled != {bid: c for bid, c in recount.items() if c and bid in self.live}:
+            raise AssertionError("settle counts differ from a recount")
 
-class CompatibilityState:
-    """Single-owner consensus state machine over block headers.
+
+class ConsensusView:
+    """The consensus bookkeeping of one processed set, shared by the handles
+    that hold it (``holders``) and changed only while one handle does.
 
     Blocks must be fed in a parent-respecting order (``UnprocessedParent``
     otherwise). Settlement is monotone: once a block id lands in the final or
     stale set it never moves. The active, final and stale sets partition the
-    blocks this state has processed. It reads a ``DagIndex`` (shared by a
-    simulation's states), or owns a private one; a header in the index is not
-    processed until fed.
-    """
+    processed blocks, and ``key`` is the processed set's key. The view reads
+    its handles' ``DagIndex``; a header in the index is not processed until
+    fed."""
 
-    def __init__(self, params: ProtocolParams, clique_cap: int = DEFAULT_CLIQUE_CAP,
-                 index: Optional[DagIndex] = None):
+    def __init__(self, params: ProtocolParams, clique_cap: int, index: DagIndex):
         self.params = params
         self.threshold = params.finality_threshold
         self.clique_cap = clique_cap
-        self.index = DagIndex() if index is None else index
-        genesis = self.index.register(params.thread_count)
-        self.headers = self.index.headers
+        self.index = index
+        self.headers = index.headers
+        self.holders = 0
         self.active: dict[bytes, HeaderMeta] = {}
         self._incompat: dict[bytes, set[bytes]] = {}
         self._edge_count = 0
@@ -158,15 +304,46 @@ class CompatibilityState:
         # per thread, the top of its active blocks while they form one
         # own-parent chain, None while it has none, else _FORKED
         self._tip: list = [None] * params.thread_count
-        self._latest_final: list[Optional[tuple[int, bytes]]] = [None] * params.thread_count
+        # per thread, (period, id) of its latest final block; replaced, never
+        # changed, so a handle can keep an old one
+        self._latest_final: tuple[Optional[tuple[int, bytes]], ...] = (None,) * params.thread_count
+        self._finals_memo: tuple = (None, None, [])
         self.final_set: set[bytes] = set()
         self.stale_set: set[bytes] = set()
         self._total_fitness = 0
         self._cliques: Optional[list[tuple[frozenset, int]]] = None
-        self.genesis_ids = [g.id for g in genesis]
-        for g in genesis:
-            self.index.add(g)
+        index.register(self)
+        self.key = _set_key(g.id for g in index.genesis)
+        for g in index.genesis:
+            index.add(g)
             self._admit(g, all_active=False)
+
+    def copy(self) -> ConsensusView:
+        """A registered copy, held by no handle yet."""
+        view = copy.copy(self)
+        view.holders = 0
+        view.active = dict(self.active)
+        view._incompat = {bid: set(edges) for bid, edges in self._incompat.items()}
+        view._weight = dict(self._weight)
+        view._thread_weight = list(self._thread_weight)
+        view._over = set(self._over)
+        view._tip = list(self._tip)
+        view.final_set = set(self.final_set)
+        view.stale_set = set(self.stale_set)
+        self.index.register(view)
+        return view
+
+    @property
+    def clean(self) -> bool:
+        """No edge and no stale block: a property of the processed set alone
+        (module docstring)."""
+        return not self._edge_count and not self.stale_set
+
+    def settled(self, bid: bytes) -> bool:
+        return bid in self.final_set or bid in self.stale_set
+
+    def processed(self) -> list[bytes]:
+        return [*self.active, *self.final_set, *self.stale_set]
 
     # -- queries -------------------------------------------------------------
 
@@ -181,16 +358,9 @@ class CompatibilityState:
 
     # -- graph growth ---------------------------------------------------------
 
-    def extend(self, block: Block) -> str:
-        """Insert one structurally valid block; returns its resulting status."""
-        return self.extend_meta(HeaderMeta.from_block(block))
-
-    def extend_meta(self, meta: HeaderMeta) -> str:
-        """Insert one header whose parents were processed; returns its status.
-        The header is trusted to be ancestor-consistent (module docstring)."""
-        status = self.status(meta.id)
-        if status is not None:
-            return status
+    def extend_meta(self, meta: HeaderMeta, key: int) -> str:
+        """Insert one unprocessed header whose parents were processed;
+        ``key`` is the key of the grown set. Returns the header's status."""
         active, parents = self.active, meta.parents
         # only a parent that is not active can be unprocessed, stale, or a
         # final block that the new one conflicts with
@@ -200,6 +370,7 @@ class CompatibilityState:
             for p in parents:
                 if p not in active and p not in final and p not in stale:
                     raise UnprocessedParent(f"parent {p.hex()[:16]} not processed")
+        self.key = key
         meta = self.headers.setdefault(meta.id, meta)
         if not all_active and (not stale.isdisjoint(parents)
                                or not self._frontier_compatible(meta)):
@@ -486,9 +657,31 @@ class CompatibilityState:
                 self._remove(bid, stale=False)
             self._cliques = None
 
-        headers = self.headers
-        order = lambda bid: (headers[bid].period, headers[bid].thread, bid)
-        return sorted(newly_final, key=order), sorted(newly_stale, key=order)
+        return _slot_order(self.headers, newly_final), _slot_order(self.headers, newly_stale)
+
+    def finals_since(self, before: tuple) -> list[bytes]:
+        """The blocks finalized since the per-thread final tips were
+        ``before``, in slot order: each thread's finals form one own-parent
+        chain from its genesis (module docstring), walked down from the tip.
+        The last answer is kept, keyed by the identity of both tip tuples:
+        the handles adopting a view mostly arrive from one view, and in a
+        240 s desk run (simulator seeds 1 and 2) 70% of the calls repeat the
+        previous call's pair."""
+        latest = self._latest_final
+        last_before, last_latest, out = self._finals_memo
+        if before is not last_before or latest is not last_latest:
+            out = []
+            headers = self.headers
+            for tau in compress(range(len(latest)), map(ne, before, latest)):
+                old = before[tau]
+                stop = old[1] if old else None
+                bid = latest[tau][1]
+                while bid != stop:
+                    out.append(bid)
+                    bid = headers[bid].own_parent
+            out = _slot_order(headers, out)
+            self._finals_memo = (before, latest, out)
+        return list(out)
 
     def _remove(self, bid: bytes, stale: bool) -> None:
         """Settle an active block. A final block's parents finalize in the
@@ -528,7 +721,9 @@ class CompatibilityState:
             self.final_set.add(bid)
             cur = self._latest_final[tau]
             if cur is None or (meta.period, bid) > cur:
-                self._latest_final[tau] = (meta.period, bid)
+                latest = list(self._latest_final)
+                latest[tau] = (meta.period, bid)
+                self._latest_final = tuple(latest)
 
     def check_invariants(self) -> None:
         """Recount the bookkeeping from the active headers; raise
@@ -537,8 +732,11 @@ class CompatibilityState:
         only, and holds ``_edge_count`` edges; ``_weight``, the thread totals,
         ``_over`` and ``_tip`` match their definitions; and every deep block
         lies in a thread that settlement examines, where ``_deep_blocks``
-        finds it with its exact descendant fitness."""
+        finds it with its exact descendant fitness. ``key`` is the processed
+        set's key."""
         active, final, stale = self.active, self.final_set, self.stale_set
+        if self.key != _set_key(self.processed()):
+            raise AssertionError("the view's key differs from its processed set's")
         if not (final.isdisjoint(active) and stale.isdisjoint(active)
                 and final.isdisjoint(stale)):
             raise AssertionError("the active, final and stale sets overlap")
@@ -608,6 +806,127 @@ class CompatibilityState:
             out.append(entry[1])
         return out
 
+
+class CompatibilityState:
+    """One node's consensus state machine over block headers: a handle on the
+    ``ConsensusView`` of the blocks it has processed (``view``), shared with
+    the other handles of its ``DagIndex`` where that is exact (module
+    docstring). It answers every query exactly as a private state fed the
+    same blocks in the same order would. Without an index it owns a private
+    one and never shares."""
+
+    def __init__(self, params: ProtocolParams, clique_cap: int = DEFAULT_CLIQUE_CAP,
+                 index: Optional[DagIndex] = None):
+        self.params = params
+        self.clique_cap = clique_cap
+        self.index = DagIndex() if index is None else index
+        self.index.attach(self)
+        self.headers = self.index.headers
+        self.genesis_ids = [g.id for g in self.index.genesis]
+        # the view's final tips before the adoptions since the last settlement
+        self._before: Optional[tuple] = None
+        view = self.index.lookup(_set_key(self.genesis_ids))
+        if view is None:
+            view = ConsensusView(params, clique_cap, self.index)
+            self.index.publish(view)
+        view.holders += 1
+        self.view = view
+
+    def _hold(self, view: ConsensusView) -> None:
+        view.holders += 1
+        old, self.view = self.view, view
+        old.holders -= 1
+        if not old.holders:
+            self.index.release(old)
+
+    # -- queries -------------------------------------------------------------
+
+    @property
+    def active(self) -> dict[bytes, HeaderMeta]:
+        return self.view.active
+
+    @property
+    def final_set(self) -> set[bytes]:
+        return self.view.final_set
+
+    @property
+    def stale_set(self) -> set[bytes]:
+        return self.view.stale_set
+
+    def status(self, block_id: bytes) -> Optional[str]:
+        return self.view.status(block_id)
+
+    def maximal_cliques(self) -> list[tuple[frozenset, int]]:
+        """Maximal cliques of compatible active blocks with their total
+        fitness, best first; the first entry is the blockclique
+        (``ConsensusView.maximal_cliques``)."""
+        return self.view.maximal_cliques()
+
+    @property
+    def blockclique(self) -> frozenset:
+        """Members of the best-ranked maximal clique."""
+        return self.view.blockclique
+
+    def best_parents(self) -> list[bytes]:
+        """Per thread, the blockclique member with the greatest period (falls
+        back to the latest final block of the thread once pruned)."""
+        return self.view.best_parents()
+
+    def check_invariants(self) -> None:
+        """The view's invariants, then the sharing layer's."""
+        self.view.check_invariants()
+        self.index.check_invariants()
+
+    # -- graph growth ---------------------------------------------------------
+
+    def extend(self, block: Block) -> str:
+        """Insert one structurally valid block; returns its resulting status."""
+        return self.extend_meta(HeaderMeta.from_block(block))
+
+    def extend_meta(self, meta: HeaderMeta) -> str:
+        """Insert one header whose parents were processed; returns its status.
+        The header is trusted to be ancestor-consistent (module docstring).
+        Adopts the view published for the grown set if there is one, else
+        grows its own view, copied first if another handle holds it."""
+        view = self.view
+        status = view.status(meta.id)
+        if status is not None:
+            return status
+        key = (view.key + _ONE_BLOCK) ^ int.from_bytes(meta.id, "big")
+        shared = self.index.lookup(key)
+        if shared is not None:
+            # the set is clean and the block has no descendant in it, so it
+            # is active there
+            if self._before is None:
+                self._before = view._latest_final
+            self._hold(shared)
+            return STATUS_ACTIVE
+        if view.holders > 1:
+            self._hold(view.copy())
+        else:
+            self.index.unpublish(view)
+        return self.view.extend_meta(meta, key)
+
+    # -- settlement --------------------------------------------------------------
+
+    def update_finality(self) -> tuple[list[bytes], list[bytes]]:
+        """Settle blocks on the current graph snapshot by the rules of
+        ``ConsensusView.update_finality``. Returns (newly final, newly stale)
+        ids, both sorted in slot order, as a private state would. A published
+        view was settled when published and has not changed since; a clean
+        view is published once settled."""
+        view, before = self.view, self._before
+        self._before = None
+        if self.index.published(view):
+            final, stale = [], []
+        else:
+            final, stale = view.update_finality()
+            if view.clean:
+                self.index.publish(view)
+        if before is not None:
+            final = view.finals_since(before)
+        return final, stale
+
     def add_block(self, block: Block) -> tuple[str, list[bytes], list[bytes]]:
         """Extend with one block and settle; the one-call driving loop."""
         status = self.extend(block)
@@ -617,6 +936,19 @@ class CompatibilityState:
         if block.id in self.stale_set:
             status = STATUS_STALE
         return status, final, stale
+
+
+def _set_key(ids: Iterable[bytes]) -> int:
+    """A processed set's key: its size times 2^256 plus the XOR of its ids,
+    grown one block at a time as ``CompatibilityState.extend_meta`` does."""
+    key = 0
+    for bid in ids:
+        key = (key + _ONE_BLOCK) ^ int.from_bytes(bid, "big")
+    return key
+
+
+def _slot_order(headers: dict[bytes, HeaderMeta], ids: Iterable[bytes]) -> list[bytes]:
+    return sorted(ids, key=lambda bid: (headers[bid].period, headers[bid].thread, bid))
 
 
 def _id_sum(members: Iterable[bytes]) -> int:

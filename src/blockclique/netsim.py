@@ -20,7 +20,11 @@ processing step before its child, and a break in that order raises
 
 Headers and their direct conflicts are facts every node agrees on: a run
 keeps one ``DagIndex``, filled as blocks are created, that every node's
-consensus state reads, so a block's direct conflicts are computed once.
+consensus state reads, so a block's direct conflicts are computed once. Each
+node's state is a handle, called once per block it processes; nodes that
+have processed the same conflict-free set share one consensus view of it
+(``consensus`` module docstring), so in an honest run most calls adopt a view
+another node has already computed.
 """
 
 from __future__ import annotations

@@ -93,12 +93,14 @@ class OracleConsensus:
         if not conflicted:
             return [frozenset(ids)]
         base = frozenset(universal)
+        # every conflict-free subset of the conflicted blocks, grown one block
+        # at a time: a subset holding a conflicting pair is never extended,
+        # as no superset of it is conflict-free
+        subsets: list[list[bytes]] = [[]]
+        for v in conflicted:
+            subsets += [s + [v] for s in subsets if not any(u in conflict[v] for u in s)]
         out = []
-        n = len(conflicted)
-        for mask in range(1 << n):
-            chosen = [conflicted[i] for i in range(n) if mask >> i & 1]
-            if any(b in conflict[a] for a, b in combinations(chosen, 2)):
-                continue
+        for chosen in subsets:
             chosen_set = set(chosen)
             maximal = True
             for v in conflicted:

@@ -290,7 +290,7 @@ class TestFinality:
             for i, a in enumerate(bc):
                 for b in bc[i + 1:]:
                     assert not incompatible(st.headers, st.headers[a], st.headers[b])
-                    assert b not in st._incompat.get(a, ())
+                    assert b not in st.view._incompat.get(a, ())
 
 
 class TestBestParents:
@@ -381,7 +381,7 @@ class TestAncestry:
         for b in blocks:
             meta_b = HeaderMeta.from_block(b)
             if engine.stale_set.isdisjoint(meta_b.parents):
-                assert engine._frontier_compatible(meta_b) == (
+                assert engine.view._frontier_compatible(meta_b) == (
                     not any(incompatible(headers, meta_b, headers[f])
                             for f in engine.final_set))
             engine.add_block(b)
@@ -401,11 +401,11 @@ class TestAncestry:
                                   if x != bid and incompatible(headers, meta, active[x])}
                 assert all(bid in conflicts[x] for x in conflicts.get(bid, ()))
                 below = sorted(d for d in active if bid in above[d])
-                assert sorted(engine._descendants({bid})) == below
+                assert sorted(engine.view._descendants({bid})) == below
                 exact[bid] = sum(active[d].fitness for d in below)
                 assert TestAncestry._subtree_weight(engine, bid) == exact[bid]
-            assert engine._deep_blocks() == {
-                a: d for a, d in exact.items() if d > engine.threshold}
+            assert engine.view._deep_blocks() == {
+                a: d for a, d in exact.items() if d > engine.view.threshold}
 
     @staticmethod
     def _subtree_weight(engine, bid):
@@ -417,7 +417,7 @@ class TestAncestry:
             while meta.id != bid and meta.own_parent in active:
                 meta = active[meta.own_parent]
             if meta.id == bid:
-                total += engine._weight[y]
+                total += engine.view._weight[y]
         return total
 
     def test_random_instances(self):
@@ -488,8 +488,8 @@ class TestForkedThreads:
         st = self._run(p, [a1, a2, a3, b, b1])
         assert st.final_set == {g0, a1.id}
         assert set(st.active) == {a2.id, a3.id, b.id, b1.id}
-        assert st._thread_weight[0] > st.threshold
-        assert st._deep_blocks() == {}
+        assert st.view._thread_weight[0] > st.view.threshold
+        assert st.view._deep_blocks() == {}
 
     def test_chain_forking_above_its_root(self):
         # a1 is the root; b1 and b2 fork on it. a1 is deep, but each clique
@@ -503,7 +503,7 @@ class TestForkedThreads:
         c2 = blk(0, 5, [c1.id])
         st = self._run(p, [a1, b1, b2])
         assert st.final_set == {g0}
-        assert st._deep_blocks() == {a1.id: 2}
+        assert st.view._deep_blocks() == {a1.id: 2}
         st = self._run(p, [a1, b1, b2, c1, c2])
         assert a1.id in st.final_set and b2.id in st.stale_set
 
@@ -524,7 +524,9 @@ class TestForkedThreads:
 class TestSharedHeaders:
     """States that share one ``DagIndex`` still each process only what they
     are fed: a shared index changes no state's statuses, cliques or
-    settlement, and it keeps a block live until every state has settled it."""
+    settlement, and it keeps a block live until every state has settled it.
+    Handles that have processed the same clean set share its view, and a
+    handle copies a view that another holds before changing it."""
 
     def test_header_in_map_but_not_processed(self):
         p = params()
@@ -563,6 +565,55 @@ class TestSharedHeaders:
         # a live block is one that some state has not settled
         for bid in index.live:
             assert any(st.status(bid) in (None, "active") for st in shared)
+
+    def test_views_shared_then_diverge(self):
+        # three handles share one view per clean set; a conflicting block
+        # puts the first on a private copy that is never published, and
+        # the handle that last held the shared view then changes it in place
+        p = params(t=1, f=3)
+        index = DagIndex()
+        handles = [CompatibilityState(p, index=index) for _ in range(3)]
+        private = [CompatibilityState(p) for _ in handles]
+        g0 = handles[0].genesis_ids[0]
+        a1 = blk(0, 1, [g0])
+        a2 = blk(0, 2, [a1.id])
+        b2 = blk(0, 3, [a1.id])     # thread-incompatible with a2
+        blocks = [a1, a2, b2]
+
+        def feed(i, block):
+            assert handles[i].add_block(block) == private[i].add_block(block)
+            for st, ref in zip(handles, private):
+                st.check_invariants()
+                assert self._outcome(st, blocks) == self._outcome(ref, blocks)
+
+        assert handles[0].view is handles[1].view is handles[2].view
+        for i in range(3):
+            feed(i, a1)
+        shared = handles[0].view
+        assert handles[1].view is handles[2].view is shared and index.published(shared)
+        feed(0, a2)
+        grown = handles[0].view
+        assert grown is not shared and index.published(grown) and handles[1].view is shared
+        feed(1, a2)
+        assert handles[1].view is grown and grown.holders == 2
+        feed(0, b2)
+        dirty = handles[0].view
+        assert dirty is not grown and not dirty.clean and not index.published(dirty)
+        feed(1, b2)
+        assert handles[1].view is grown and not index.published(grown) and not grown.clean
+        feed(2, b2)
+        assert handles[2].view is shared and index.published(shared) and shared.clean
+        feed(2, a2)
+        assert {id(st.view) for st in handles} == {id(dirty), id(grown), id(shared)}
+        assert not index.views
+
+    def test_one_protocol_per_index(self):
+        index = DagIndex()
+        CompatibilityState(params(t=2), index=index)
+        with pytest.raises(ValueError):
+            CompatibilityState(params(t=3), index=index)
+        with pytest.raises(ValueError):
+            CompatibilityState(params(t=2), clique_cap=4, index=index)
 
     def test_random_instances(self):
         rng = random.Random(41)

@@ -8,6 +8,7 @@ import pytest
 
 from blockclique.chain import ProtocolParams
 from blockclique.cli import canonical_json
+from blockclique.consensus import CompatibilityState
 from blockclique.errors import InsufficientData, TopologyError
 from blockclique.netsim import (
     SimConfig, apply_overrides, build_topology, measure_confirmation, run_simulation,
@@ -186,6 +187,66 @@ class TestForkingRun:
         assert (m.blocks_stale, m.blocks_final, m.blocks_produced) == (33, 69, 113)
         text = canonical_json(m.to_dict()) + canonical_json(m.block_records)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+
+
+class TestSharedViews:
+    """Nodes share consensus views, yet every node answers as a private state
+    fed the same headers in the same order would: after each block it
+    processes, its admission status, settlement lists (which give the
+    creator's verdicts), cliques and best parents, and at the end the status
+    of every block it processed."""
+
+    @staticmethod
+    def _recorded_run(monkeypatch, cfg):
+        steps: dict = {}    # handle -> [[header, status, settled, cliques, parents], ...]
+        extend, settle = CompatibilityState.extend_meta, CompatibilityState.update_finality
+
+        def recording_extend(st, meta):
+            status = extend(st, meta)
+            steps.setdefault(st, []).append([meta, status])
+            return status
+
+        def recording_settle(st):
+            settled = settle(st)
+            steps[st][-1] += [settled, st.maximal_cliques(), st.best_parents()]
+            return settled
+
+        monkeypatch.setattr(CompatibilityState, "extend_meta", recording_extend)
+        monkeypatch.setattr(CompatibilityState, "update_finality", recording_settle)
+        run_simulation(cfg)
+        monkeypatch.undo()
+        return steps
+
+    def _check(self, monkeypatch, cfg):
+        steps = self._recorded_run(monkeypatch, cfg)
+        assert len(steps) == cfg.node_count
+        for handle, record in steps.items():
+            private = CompatibilityState(cfg.protocol)
+            for meta, status, settled, cliques, parents in record:
+                assert private.extend_meta(meta) == status
+                assert private.update_finality() == settled
+                assert private.maximal_cliques() == cliques
+                assert private.best_parents() == parents
+            assert [handle.status(m.id) for m, *_ in record] == \
+                [private.status(m.id) for m, *_ in record]
+        return steps
+
+    @staticmethod
+    def _toy(latency):
+        path = Path(__file__).resolve().parent.parent / "configs" / "toy.json"
+        return replace(SimConfig.from_dict(json.loads(path.read_text())),
+                       node_count=32, mean_latency=latency)
+
+    def test_clean_run(self, monkeypatch):
+        handles = list(self._check(monkeypatch, self._toy(1.0)))
+        assert len({id(h.view) for h in handles}) < len(handles)
+        handles[0].check_invariants()
+
+    def test_forking_run(self, monkeypatch):
+        # the pinned forking config of TestForkingRun
+        handles = list(self._check(monkeypatch, self._toy(4.0)))
+        assert any(h.stale_set for h in handles)
+        handles[0].check_invariants()
 
 
 class TestMeasureConfirmation:
