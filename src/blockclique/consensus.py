@@ -24,8 +24,7 @@ parent's thread total, with no walk over ancestors. A block's descendant
 fitness is then the sum of the weights over its active own-thread subtree:
 the blocks above it in its thread, itself included. Settlement examines only
 the threads whose total exceeds the threshold, as no block of another thread
-can be deep. On a thread whose active blocks form one chain it walks up from
-the root, subtracting weights.
+can be deep, with one pass over each from the top, children before parents.
 
 Headers must be ancestor-consistent, as structural validation enforces: every
 thread-τ ancestor of a block lies on the own-thread chain of its τ-parent, so
@@ -57,16 +56,14 @@ because:
   pair, the later of the two to be processed meets the earlier active (an
   edge, or a stale block), final (admission stales it) or stale. Edges leave
   a view only with a staled block, so a clean view was clean all along.
-- In a clean view there are no edges, so there is one clique, and each
-  thread's active blocks form one chain (two on one own parent would
-  conflict).
+- In a clean view there are no edges, so there is one clique.
 - A settled clean view is a function of S. Descendant fitness only grows as
   blocks are added, and a descendant of an active block is never final, so
   the final blocks are exactly the deep blocks of S: those whose descendants
   in S weigh more than the threshold. The rest of S is active, and weights,
-  thread totals, chain tips, final tips and the clique follow from those two
-  sets. Only the insertion order of ``active`` depends on the processing
-  order, and nothing reads that order on a clean view.
+  thread totals, final tips and the clique follow from those two sets. Only
+  the insertion order of ``active`` depends on the processing order, and
+  nothing reads that order on a clean view.
 - So an adopted view equals the view a private state would reach in the
   handle's own order. ``update_finality`` then returns the blocks finalized
   since the handle last asked: each thread's finals form one own-parent chain
@@ -100,9 +97,6 @@ STATUS_FINAL = "final"
 STATUS_STALE = "stale"
 
 DEFAULT_CLIQUE_CAP = 1024
-
-# a thread's ``ConsensusView._tip`` when its active blocks are not one chain
-_FORKED = object()
 
 # one block in the size part of a processed-set key, above the 256-bit XOR
 _ONE_BLOCK = 1 << 256
@@ -301,9 +295,6 @@ class ConsensusView:
         self._weight: dict[bytes, int] = {}
         self._thread_weight = [0] * params.thread_count
         self._over: set[int] = set()
-        # per thread, the top of its active blocks while they form one
-        # own-parent chain, None while it has none, else _FORKED
-        self._tip: list = [None] * params.thread_count
         # per thread, (period, id) of its latest final block; replaced, never
         # changed, so a handle can keep an old one
         self._latest_final: tuple[Optional[tuple[int, bytes]], ...] = (None,) * params.thread_count
@@ -327,7 +318,6 @@ class ConsensusView:
         view._weight = dict(self._weight)
         view._thread_weight = list(self._thread_weight)
         view._over = set(self._over)
-        view._tip = list(self._tip)
         view.final_set = set(self.final_set)
         view.stale_set = set(self.stale_set)
         self.index.register(view)
@@ -445,7 +435,7 @@ class ConsensusView:
     def _admit(self, meta: HeaderMeta, all_active: bool) -> None:
         """Make the block active: its fitness joins the weight of each active
         parent and that parent's thread total, T steps with no chain walk."""
-        bid, fit, tau = meta.id, meta.fitness, meta.thread
+        bid, fit = meta.id, meta.fitness
         weight, totals, threshold = self._weight, self._thread_weight, self.threshold
         for sigma, pid in enumerate(meta.parents):
             if all_active or pid in weight:
@@ -455,26 +445,8 @@ class ConsensusView:
                     self._over.add(sigma)
         weight[bid] = 0
         self.active[bid] = meta
-        tip = self._tip[tau]
-        if tip is None:
-            self._tip[tau] = bid
-        elif tip is not _FORKED:
-            self._tip[tau] = bid if meta.own_parent == tip else _FORKED
         self._total_fitness += fit
         self._cliques = None
-
-    def _chain_tip(self, tau: int):
-        """Thread τ's ``_tip`` recounted from its active blocks, which the
-        index lists parent-first: they form one chain exactly when each names
-        the one before it as its own-thread parent."""
-        active = self.active
-        tip = None
-        for bid, meta in self.index.threads[tau].items():
-            if bid in active:
-                if tip is not None and meta.own_parent != tip:
-                    return _FORKED
-                tip = bid
-        return tip
 
     def _deep_blocks(self) -> dict[bytes, int]:
         """The active blocks whose descendant fitness exceeds the threshold,
@@ -484,34 +456,22 @@ class ConsensusView:
         own-thread subtree, which for ancestor-consistent headers is the
         fitness of its active descendants. It never grows going up a thread
         and never exceeds the thread's total, so only the threads in
-        ``_over`` are examined, in the index's parent-first order. On a
-        chain, the walk up from its root subtracts each block's weight and
-        stops at the first block that is not deep; on any other thread, one
-        pass from the top sums each subtree."""
-        threshold = self.threshold
-        deep: dict[bytes, int] = {}
-        active, weight = self.active, self._weight
+        ``_over`` are examined. Each gets one pass over the index's thread
+        list from the top, children before parents, which sums every subtree
+        and hands it to the block's own parent (``below``; an own parent is
+        in its child's thread, so one map serves every thread)."""
+        threshold, weight = self.threshold, self._weight
+        below: dict[Optional[bytes], int] = {}
+        found = []
         for tau in self._over:
-            if self._tip[tau] is not _FORKED:
-                total = self._thread_weight[tau]
-                for bid in self.index.threads[tau]:
-                    if bid in active:
-                        deep[bid] = total
-                        total -= weight[bid]
-                        if total <= threshold:
-                            break
-                continue
-            below: dict[Optional[bytes], int] = {}
-            found = []
-            for bid in reversed(self.index.threads[tau]):
-                if bid in active:
-                    d = below.pop(bid, 0) + weight[bid]
-                    own = active[bid].own_parent
-                    below[own] = below.get(own, 0) + d
+            for bid, meta in reversed(self.index.threads[tau].items()):
+                w = weight.get(bid)
+                if w is not None:
+                    d = below.pop(bid, 0) + w
+                    below[meta.own_parent] = below.get(meta.own_parent, 0) + d
                     if d > threshold:
                         found.append((bid, d))
-            deep.update(reversed(found))
-        return deep
+        return dict(reversed(found))
 
     def _descendants(self, seeds: set[bytes]) -> list[bytes]:
         """Ids of active blocks having an active seed as a strict ancestor,
@@ -535,9 +495,6 @@ class ConsensusView:
         fitness, ties broken by the smaller big-integer sum of member ids,
         then lexicographically. The first entry is the blockclique."""
         if self._cliques is not None:
-            return self._cliques
-        if not self.active:
-            self._cliques = [(frozenset(), 0)]
             return self._cliques
         if self._edge_count == 0:
             self._cliques = [(frozenset(self.active), self._total_fitness)]
@@ -647,9 +604,9 @@ class ConsensusView:
                         break
 
         if newly_stale or newly_final:
-            # stale descendants go before their ancestors and finals
-            # parent-first, so that each removal takes the top or the root of
-            # a chain and leaves its thread a chain
+            # removals follow a fixed order, never a set's hash order: stale
+            # blocks children first (admission order reversed), finals
+            # parent-first
             if newly_stale:
                 for bid in [b for b in reversed(self.active) if b in newly_stale]:
                     self._remove(bid, stale=True)
@@ -687,8 +644,8 @@ class ConsensusView:
         """Settle an active block. A final block's parents finalize in the
         same pass (they are edge-free and deeper), so only a stale one takes
         its fitness back from its parents' weights."""
-        active, weight, totals = self.active, self._weight, self._thread_weight
-        meta = active.pop(bid)
+        weight, totals = self._weight, self._thread_weight
+        meta = self.active.pop(bid)
         self._total_fitness -= meta.fitness
         edges = self._incompat.pop(bid, None)
         if edges:
@@ -701,13 +658,6 @@ class ConsensusView:
         totals[tau] -= weight.pop(bid)
         if totals[tau] <= self.threshold:
             self._over.discard(tau)
-        tip = self._tip[tau]
-        if tip == bid:
-            self._tip[tau] = meta.own_parent if meta.own_parent in active else None
-        elif tip is _FORKED or meta.own_parent in active:
-            # a forked thread may now be one chain; a chain loses a middle
-            # block only if it is split in two
-            self._tip[tau] = self._chain_tip(tau)
         self.index.settle(bid)
         if stale:
             self.stale_set.add(bid)
@@ -729,11 +679,12 @@ class ConsensusView:
         """Recount the bookkeeping from the active headers; raise
         AssertionError on the first mismatch. The active, final and stale
         sets are disjoint; ``_incompat`` is symmetric, joins active blocks
-        only, and holds ``_edge_count`` edges; ``_weight``, the thread totals,
-        ``_over`` and ``_tip`` match their definitions; and every deep block
-        lies in a thread that settlement examines, where ``_deep_blocks``
-        finds it with its exact descendant fitness. ``key`` is the processed
-        set's key."""
+        only, holds ``_edge_count`` edges, and is closed under descent (an
+        active block has every edge of each active parent); ``_weight``, the
+        thread totals and ``_over`` match their definitions; and every deep
+        block lies in a thread that settlement examines, where
+        ``_deep_blocks`` finds it with its exact descendant fitness. ``key``
+        is the processed set's key."""
         active, final, stale = self.active, self.final_set, self.stale_set
         if self.key != _set_key(self.processed()):
             raise AssertionError("the view's key differs from its processed set's")
@@ -749,6 +700,11 @@ class ConsensusView:
             ends += len(others)
         if ends != 2 * self._edge_count:
             raise AssertionError(f"{ends} edge ends for {self._edge_count} edges")
+        for bid, meta in active.items():
+            edges = self._incompat.get(bid, set())
+            if any(not edges.issuperset(self._incompat.get(p, ())) for p in meta.parents):
+                raise AssertionError(f"block {bid.hex()[:16]} lacks an edge of an "
+                                     "active parent")
         weight = dict.fromkeys(active, 0)
         for meta in active.values():
             for pid in meta.parents:
@@ -761,19 +717,6 @@ class ConsensusView:
             totals[active[bid].thread] += w
         if totals != self._thread_weight:
             raise AssertionError("thread totals differ from a recount")
-        for tau in range(self.params.thread_count):
-            blocks = [m for m in active.values() if m.thread == tau]
-            roots = [m for m in blocks if m.own_parent not in active]
-            named = [m.own_parent for m in blocks if m.own_parent in active]
-            tops = [m.id for m in blocks if m.id not in named]
-            if not blocks:
-                tip = None
-            elif len(roots) == 1 and len(set(named)) == len(named):
-                tip = tops[0]
-            else:
-                tip = _FORKED
-            if self._tip[tau] != tip:
-                raise AssertionError(f"thread {tau}'s chain tip is wrong")
         desc = dict(weight)
         for bid in reversed(active):     # children before parents
             own = active[bid].own_parent

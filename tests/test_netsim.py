@@ -194,7 +194,9 @@ class TestSharedViews:
     fed the same headers in the same order would: after each block it
     processes, its admission status, settlement lists (which give the
     creator's verdicts), cliques and best parents, and at the end the status
-    of every block it processed."""
+    of every block it processed. Each node's view keeps its invariants after
+    every settlement under network timing, and the private states' final and
+    stale sets only grow."""
 
     @staticmethod
     def _recorded_run(monkeypatch, cfg):
@@ -208,6 +210,7 @@ class TestSharedViews:
 
         def recording_settle(st):
             settled = settle(st)
+            st.view.check_invariants()
             steps[st][-1] += [settled, st.maximal_cliques(), st.best_parents()]
             return settled
 
@@ -222,11 +225,14 @@ class TestSharedViews:
         assert len(steps) == cfg.node_count
         for handle, record in steps.items():
             private = CompatibilityState(cfg.protocol)
+            final, stale = set(), set()
             for meta, status, settled, cliques, parents in record:
                 assert private.extend_meta(meta) == status
                 assert private.update_finality() == settled
                 assert private.maximal_cliques() == cliques
                 assert private.best_parents() == parents
+                assert final <= private.final_set and stale <= private.stale_set
+                final, stale = set(private.final_set), set(private.stale_set)
             assert [handle.status(m.id) for m, *_ in record] == \
                 [private.status(m.id) for m, *_ in record]
         return steps
