@@ -74,6 +74,18 @@ because:
 A dirty view is never published: which blocks stale can depend on the order
 in which they arrived. A handle that replays a trace owns its index and never
 shares a view.
+
+Views come and go on every copy and adoption, but an index's handles stay, so
+the index keeps a block live until every handle has settled it there. A handle
+settles what its view stales at admission and what its ``update_finality``
+returns, whose finals after an adoption are ``finals_since``: the adopted
+views' and its own, each once. After each ``update_finality`` these are
+exactly its view's settled blocks: adoption goes from a clean view to a clean
+view, so the handle had staled nothing, finals only grow, and ``finals_since``
+is the difference. So where every handle is between settlements, as in the
+simulator when a block enters the index, a block is live exactly when some
+held view has not settled it. In between, the live set can only be larger,
+and every reader restricts it to a view's active blocks.
 """
 
 from __future__ import annotations
@@ -107,19 +119,18 @@ class DagIndex:
     live blocks that directly conflict with it (``conflicts``, kept symmetric
     and sparse); and the consensus views of the handles that share it.
 
-    A block is live from ``add`` until every registered view has settled it:
-    a view's active blocks are all live, so its direct conflicts are
-    ``conflicts[b]`` restricted to its active set. Settlement is monotone, so
-    dropping a block then is exact. ``threads[τ]`` holds the live thread-τ
+    A block is live from ``add`` until every handle has settled it (module
+    docstring): a view's active blocks are all live, so its direct conflicts
+    are ``conflicts[b]`` restricted to its active set. Settlement is monotone,
+    so dropping a block then is exact. ``threads[τ]`` holds the live thread-τ
     blocks in the order they were added, which is parent-first: a view adds a
     block only after its parents, and an active parent is live.
 
     ``handles`` holds the handles sharing the index, which share one protocol
     and clique cap; ``views`` maps a processed-set key to the clean view
-    published under it (module docstring). A view is registered while some
-    handle holds it. The index refers to both weakly, so that a finished run's
-    consensus state is freed when its handles are, without waiting for the
-    cycle collector."""
+    published under it (module docstring), held by some handle. The index
+    refers to both weakly, so that a finished run's consensus state is freed
+    when its handles are, without waiting for the cycle collector."""
 
     def __init__(self, headers: Optional[dict[bytes, HeaderMeta]] = None):
         self.headers: dict[bytes, HeaderMeta] = {} if headers is None else headers
@@ -130,8 +141,8 @@ class DagIndex:
         self.rules: Optional[tuple[ProtocolParams, int]] = None
         self.handles: weakref.WeakSet[CompatibilityState] = weakref.WeakSet()
         self.views: dict[int, weakref.ref[ConsensusView]] = {}
-        self._view_count = 0
-        self._settled: dict[bytes, int] = {}    # id -> views that settled it, until all have
+        self._handle_count = 0    # never falls: a dead handle keeps its unsettled blocks live
+        self._settled: dict[bytes, int] = {}    # id -> handles that settled it, until all have
 
     def attach(self, handle: CompatibilityState) -> None:
         """Add a handle. The first fixes the rules and builds the genesis
@@ -146,6 +157,7 @@ class DagIndex:
         elif rules != self.rules:
             raise ValueError("handles sharing a DagIndex need one protocol and clique cap")
         self.handles.add(handle)
+        self._handle_count += 1
 
     def add(self, meta: HeaderMeta) -> None:
         """Record a block's direct conflicts with the live blocks, in both
@@ -171,15 +183,6 @@ class DagIndex:
         live[bid] = meta
         self.threads[meta.thread][bid] = meta
 
-    def register(self, view: ConsensusView) -> None:
-        """Count one more view. A copy has settled what its original has, so
-        it joins the settle counts of those blocks."""
-        self._view_count += 1
-        settled = self._settled
-        for bid in settled:
-            if view.settled(bid):
-                settled[bid] += 1
-
     def lookup(self, key: int) -> Optional[ConsensusView]:
         """The view published under a processed-set key, if any."""
         ref = self.views.get(key)
@@ -197,73 +200,55 @@ class DagIndex:
         if self.published(view):
             del self.views[view.key]
 
-    def release(self, view: ConsensusView) -> None:
-        """A view no handle holds any more: unpublish and unregister it. Its
-        settle counts leave with it, and so do the blocks that every remaining
-        view has settled."""
-        self.unpublish(view)
-        self._view_count -= 1
-        remaining = self._view_count
-        for bid, count in list(self._settled.items()):
-            if view.settled(bid):
-                count -= 1
-            if count >= remaining:
-                self._drop(bid)
-            elif count:
-                self._settled[bid] = count
-            else:
-                del self._settled[bid]
-
-    def settle(self, bid: bytes) -> None:
-        """One view has settled the block (final or stale); once all have,
-        it leaves the live set and its conflicts with it."""
-        count = self._settled.get(bid, 0) + 1
-        if count < self._view_count:
-            self._settled[bid] = count
-        else:
-            self._drop(bid)
-
-    def _drop(self, bid: bytes) -> None:
-        self._settled.pop(bid, None)
-        meta = self.live.pop(bid, None)
-        if meta is not None:
-            del self.threads[meta.thread][bid]
-        for other in self.conflicts.pop(bid, ()):
-            self.conflicts[other].discard(bid)
+    def settle(self, ids: Iterable[bytes]) -> None:
+        """One handle has settled these blocks (final or stale), each once; a
+        block all have settled leaves the live set, and its conflicts too."""
+        settled, conflicts, handles = self._settled, self.conflicts, self._handle_count
+        for bid in ids:
+            count = settled.get(bid, 0) + 1
+            if count < handles:
+                settled[bid] = count
+                continue
+            settled.pop(bid, None)
+            del self.threads[self.live.pop(bid).thread][bid]
+            for other in conflicts.pop(bid, ()):
+                conflicts[other].discard(bid)
 
     def check_invariants(self) -> None:
-        """Recount the sharing layer; raise AssertionError on the first
-        mismatch. The registered views are the ones handles hold, each view's
-        ``holders`` counts them, and a view held twice is published. Every
-        published view is clean, settled, and stored under its processed
-        set's key. The settle counts match a recount, and the live set is
-        exactly the added blocks that some registered view has not settled."""
-        views = {id(h.view): h.view for h in self.handles}
-        holders = Counter(id(h.view) for h in self.handles)
-        if len(views) != self._view_count:
-            raise AssertionError(f"{self._view_count} views registered, {len(views)} held")
-        for key, view in views.items():
-            if view.holders != holders[key]:
-                raise AssertionError(f"a view counts {view.holders} holders, "
-                                     f"{holders[key]} handles hold it")
+        """Recount the sharing layer over the handles; raise AssertionError on
+        the first mismatch. Every attached handle is alive, each view's
+        ``holders`` counts the handles holding it, and a view held twice is
+        published. Every published view is held, clean, settled, and stored
+        under its processed set's key. The settle counts match a recount, and
+        the live set is exactly the added blocks some handle has not settled."""
+        handles = list(self.handles)
+        if len(handles) != self._handle_count:
+            raise AssertionError(f"{self._handle_count} handles attached, {len(handles)} alive")
+        holders = Counter(h.view for h in handles)
+        for view, count in holders.items():
+            if view.holders != count:
+                raise AssertionError(f"a view counts {view.holders} holders, {count} hold it")
             if view.holders > 1 and not self.published(view):
                 raise AssertionError("a shared view is not published")
         for key in self.views:
             view = self.lookup(key)
-            if view is None or id(view) not in views:
-                raise AssertionError("a published view is not registered")
+            if view is None or view not in holders:
+                raise AssertionError("a published view is not held")
             if not view.clean or view._deep_blocks():
                 raise AssertionError("a published view is not clean and settled")
             if key != _set_key(view.processed()):
                 raise AssertionError("a published view is stored under a wrong key")
         recount = dict.fromkeys(self.live, 0)
-        for view in views.values():
+        for h in handles:
+            view = h.view
+            # finals adopted since the handle last settled are not settled here yet
+            unsettled = view.active.keys() | (view.finals_since(h._before) if h._before else ())
             for bid in view.processed():
-                recount[bid] = recount.get(bid, 0) + view.settled(bid)
+                recount[bid] = recount.get(bid, 0) + (bid not in unsettled)
         for bid, count in recount.items():
-            if (count < len(views)) != (bid in self.live):
+            if (count < len(handles)) != (bid in self.live):
                 raise AssertionError(f"block {bid.hex()[:16]} is live but settled by every "
-                                     "view, or dropped but unsettled by one")
+                                     "handle, or dropped but unsettled by one")
         if self._settled != {bid: c for bid, c in recount.items() if c and bid in self.live}:
             raise AssertionError("settle counts differ from a recount")
 
@@ -303,14 +288,13 @@ class ConsensusView:
         self.stale_set: set[bytes] = set()
         self._total_fitness = 0
         self._cliques: Optional[list[tuple[frozenset, int]]] = None
-        index.register(self)
         self.key = _set_key(g.id for g in index.genesis)
         for g in index.genesis:
             index.add(g)
             self._admit(g, all_active=False)
 
     def copy(self) -> ConsensusView:
-        """A registered copy, held by no handle yet."""
+        """A copy, held by no handle yet."""
         view = copy.copy(self)
         view.holders = 0
         view.active = dict(self.active)
@@ -320,7 +304,6 @@ class ConsensusView:
         view._over = set(self._over)
         view.final_set = set(self.final_set)
         view.stale_set = set(self.stale_set)
-        self.index.register(view)
         return view
 
     @property
@@ -328,9 +311,6 @@ class ConsensusView:
         """No edge and no stale block: a property of the processed set alone
         (module docstring)."""
         return not self._edge_count and not self.stale_set
-
-    def settled(self, bid: bytes) -> bool:
-        return bid in self.final_set or bid in self.stale_set
 
     def processed(self) -> list[bytes]:
         return [*self.active, *self.final_set, *self.stale_set]
@@ -360,8 +340,9 @@ class ConsensusView:
             for p in parents:
                 if p not in active and p not in final and p not in stale:
                     raise UnprocessedParent(f"parent {p.hex()[:16]} not processed")
+        self.index.add(meta)
+        meta = self.headers[meta.id]
         self.key = key
-        meta = self.headers.setdefault(meta.id, meta)
         if not all_active and (not stale.isdisjoint(parents)
                                or not self._frontier_compatible(meta)):
             # a stale parent, or a conflict with an already-final block: can
@@ -381,7 +362,6 @@ class ConsensusView:
             if not conflicts.isdisjoint(active_parents):
                 return self._stale(meta.id)
 
-        self.index.add(meta)
         direct = self.index.conflicts.get(meta.id)
         if direct:
             # descendants of a direct conflict inherit the new edge; those of
@@ -429,7 +409,6 @@ class ConsensusView:
 
     def _stale(self, bid: bytes) -> str:
         self.stale_set.add(bid)
-        self.index.settle(bid)
         return STATUS_STALE
 
     def _admit(self, meta: HeaderMeta, all_active: bool) -> None:
@@ -658,7 +637,6 @@ class ConsensusView:
         totals[tau] -= weight.pop(bid)
         if totals[tau] <= self.threshold:
             self._over.discard(tau)
-        self.index.settle(bid)
         if stale:
             self.stale_set.add(bid)
             for sigma, pid in enumerate(meta.parents):
@@ -755,8 +733,10 @@ class CompatibilityState:
     ``ConsensusView`` of the blocks it has processed (``view``), shared with
     the other handles of its ``DagIndex`` where that is exact (module
     docstring). It answers every query exactly as a private state fed the
-    same blocks in the same order would. Without an index it owns a private
-    one and never shares."""
+    same blocks in the same order would, where that state also settles at the
+    handle's adoptions, as adopted views are settled; the simulator and
+    replay settle after every block. Without an index it owns a private one
+    and never shares."""
 
     def __init__(self, params: ProtocolParams, clique_cap: int = DEFAULT_CLIQUE_CAP,
                  index: Optional[DagIndex] = None):
@@ -780,7 +760,7 @@ class CompatibilityState:
         old, self.view = self.view, view
         old.holders -= 1
         if not old.holders:
-            self.index.release(old)
+            self.index.unpublish(old)
 
     # -- queries -------------------------------------------------------------
 
@@ -848,16 +828,19 @@ class CompatibilityState:
             self._hold(view.copy())
         else:
             self.index.unpublish(view)
-        return self.view.extend_meta(meta, key)
+        status = self.view.extend_meta(meta, key)
+        if status == STATUS_STALE:
+            self.index.settle((meta.id,))
+        return status
 
     # -- settlement --------------------------------------------------------------
 
     def update_finality(self) -> tuple[list[bytes], list[bytes]]:
         """Settle blocks on the current graph snapshot by the rules of
         ``ConsensusView.update_finality``. Returns (newly final, newly stale)
-        ids, both sorted in slot order, as a private state would. A published
-        view was settled when published and has not changed since; a clean
-        view is published once settled."""
+        ids, both sorted in slot order, as a private state would, and settles
+        them in the index. A published view was settled when published and
+        has not changed since; a clean view is published once settled."""
         view, before = self.view, self._before
         self._before = None
         if self.index.published(view):
@@ -868,6 +851,8 @@ class CompatibilityState:
                 self.index.publish(view)
         if before is not None:
             final = view.finals_since(before)
+        if final or stale:
+            self.index.settle(final + stale)
         return final, stale
 
     def add_block(self, block: Block) -> tuple[str, list[bytes], list[bytes]]:

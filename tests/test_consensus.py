@@ -627,6 +627,41 @@ class TestSharedHeaders:
             p, blocks = honest_instance(rng)
             self._check_sharing(p, blocks, rng)
 
+    def test_settled_in_bursts(self):
+        # each handle extends by one to three blocks between settlements, so
+        # the others settle while its adopted finals are not yet settled in
+        # the index, and the first handle to process a block may stale it at
+        # admission, before any other has added it to the index. An adopted
+        # view is settled, so the private state settles wherever its handle
+        # adopts one (CompatibilityState)
+        rng = random.Random(7)
+        for i in range(200):
+            p, blocks = honest_instance(rng) if i % 4 == 0 else random_instance(rng)
+            index = DagIndex()
+            runs = []
+            for _ in range(3):
+                order = parent_respecting_shuffle(blocks, rng)
+                bursts = []
+                while order:
+                    size = rng.randint(1, 3)
+                    bursts.append(order[:size])
+                    order = order[size:]
+                runs.append((CompatibilityState(p, index=index), CompatibilityState(p), bursts))
+            for step in range(len(blocks)):     # a burst holds at least one block
+                for st, ref, bursts in runs:
+                    if step >= len(bursts):
+                        continue
+                    for b in bursts[step]:
+                        held = st.view
+                        assert st.extend(b) == ref.extend(b)
+                        if st.view is not held and index.published(st.view):
+                            ref.update_finality()
+                    st.update_finality()
+                    ref.update_finality()
+                    st.check_invariants()
+                    assert [st.status(b.id) for b in blocks] == [ref.status(b.id) for b in blocks]
+                    assert st.maximal_cliques() == ref.maximal_cliques()
+
 
 class TestReplay:
     def _trace(self, blocks, p):
