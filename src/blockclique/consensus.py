@@ -18,6 +18,26 @@ Maximal cliques of compatible blocks are enumerated as maximal independent
 sets of the (sparse) incompatibility graph via pivoted Bron-Kerbosch on the
 complement. The conflict-free common case short-circuits to a single clique.
 
+While a view has edges, admission and finality keep its ranked clique list
+rather than enumerate it again. Every maximal independent set containing a
+new vertex v is (C minus v's neighbours) plus v for an old maximal set C
+(Tsukiyama et al., "A new algorithm for generating all the maximal independent
+sets", SIAM J. Comput. 1977); three cases need no search at all:
+
+- An admitted block with no edge joins every clique.
+- A false twin, an admitted block with exactly the edges of an active parent
+  p, joins exactly the cliques that hold p. It is not adjacent to p (it would
+  be stale), so a maximal clique holding p takes it too. One without p holds
+  a neighbour of p, which is the block's neighbour. Conversely, a maximal
+  clique holding the block holds p, whose neighbours are the block's.
+  A block's edges always contain its active parents' edges, so the test is
+  one size comparison.
+- Finals have no edge, so they lie in every clique, and a settlement that
+  finalizes blocks and stales none removes them from each.
+
+Any other admission, any stale removal, and the first edge drop the list. The
+list keeps each clique's id sum beside it for the ranking.
+
 Finality needs each active block's descendant fitness. Admission adds a new
 block's fitness to the weight of each of its T active parents and to that
 parent's thread total, with no walk over ancestors. A block's descendant
@@ -288,6 +308,7 @@ class ConsensusView:
         self.stale_set: set[bytes] = set()
         self._total_fitness = 0
         self._cliques: Optional[list[tuple[frozenset, int]]] = None
+        self._id_sums: list[int] = []    # beside a cached list with edges; replaced, never changed
         self.key = _set_key(g.id for g in index.genesis)
         for g in index.genesis:
             index.add(g)
@@ -382,6 +403,7 @@ class ConsensusView:
                     mine.add(cid)
                     incompat.setdefault(cid, set()).add(meta.id)
                     self._edge_count += 1
+        self._join_cliques(meta, conflicts)
         return STATUS_ACTIVE
 
     def _frontier_compatible(self, meta: HeaderMeta) -> bool:
@@ -425,7 +447,25 @@ class ConsensusView:
         weight[bid] = 0
         self.active[bid] = meta
         self._total_fitness += fit
-        self._cliques = None
+
+    def _join_cliques(self, meta: HeaderMeta, conflicts: set[bytes]) -> None:
+        """Keep the cached clique list across the block's admission where
+        that needs no search (module docstring), or drop it: a block with no
+        edge joins every clique, and one with the edges of an active parent
+        joins the cliques that hold that parent. ``conflicts``, the block's
+        edges, contains each active parent's."""
+        cliques, self._cliques = self._cliques, None
+        if cliques is None or not self._edge_count:
+            return
+        twin = None
+        if conflicts:
+            incompat, size = self._incompat, len(conflicts)
+            twin = next((p for p in meta.parents if len(incompat.get(p, ())) == size), None)
+            if twin is None:
+                return
+        bid, fit, num = meta.id, meta.fitness, int.from_bytes(meta.id, "big")
+        self._rank((members | {bid}, f + fit, s + num) if twin is None or twin in members
+                   else (members, f, s) for (members, f), s in zip(cliques, self._id_sums))
 
     def _deep_blocks(self) -> dict[bytes, int]:
         """The active blocks whose descendant fitness exceeds the threshold,
@@ -478,14 +518,20 @@ class ConsensusView:
         if self._edge_count == 0:
             self._cliques = [(frozenset(self.active), self._total_fitness)]
             return self._cliques
-        cliques = self._enumerate_cliques()
-        ranked = sorted(
-            ((members, sum(self.active[m].fitness for m in members))
-             for members in cliques),
-            key=lambda c: (-c[1], _id_sum(c[0]), tuple(sorted(c[0]))),
-        )
-        self._cliques = ranked
-        return ranked
+        self._rank(self._scored_cliques())
+        return self._cliques
+
+    def _scored_cliques(self) -> Iterable[tuple[frozenset, int, int]]:
+        """(members, fitness, id sum) of each maximal clique, enumerated."""
+        active = self.active
+        for members in self._enumerate_cliques():
+            yield members, sum(active[m].fitness for m in members), _id_sum(members)
+
+    def _rank(self, scored: Iterable[tuple[frozenset, int, int]]) -> None:
+        """Cache the cliques scored as (members, fitness, id sum), ranked."""
+        ranked = _ranked(scored)
+        self._cliques = [(members, fit) for members, fit, _ in ranked]
+        self._id_sums = [s for _, _, s in ranked]
 
     def _enumerate_cliques(self) -> list[frozenset]:
         """Pivoted Bron-Kerbosch. Blocks without an edge join every clique and
@@ -549,16 +595,15 @@ class ConsensusView:
         incompat = self._incompat
 
         newly_stale: set[bytes] = set()
-        if len(cliques) > 1:
-            best_fit: dict[bytes, int] = {}
-            for members, fit in cliques:
-                for m in members:
-                    if fit > best_fit.get(m, -1):
-                        best_fit[m] = fit
-            cutoff = bc_fitness - threshold
-            newly_stale = {bid for bid in self.active if best_fit.get(bid, 0) < cutoff}
-            if newly_stale:
-                newly_stale.update(self._descendants(newly_stale))
+        cutoff = bc_fitness - threshold
+        if len(cliques) > 1 and cliques[-1][1] < cutoff:
+            # the blocks that no clique at or above the cutoff holds, as every
+            # active block lies in a maximal clique. They are closed under
+            # descent: an active descendant y of x has every edge of x and
+            # none to x, so each maximal clique holding y holds x, and x's
+            # best clique is at least y's
+            newly_stale = self.active.keys() - frozenset().union(
+                *(members for members, fit in cliques if fit >= cutoff))
 
         newly_final: list[bytes] = []
         if len(cliques) == 1:
@@ -591,7 +636,15 @@ class ConsensusView:
                     self._remove(bid, stale=True)
             for bid in newly_final:
                 self._remove(bid, stale=False)
-            self._cliques = None
+            if newly_stale or len(cliques) == 1:
+                self._cliques = None
+            else:
+                # finals have no edge, so they leave every clique
+                gone = frozenset(newly_final)
+                fit = sum(self.headers[bid].fitness for bid in gone)
+                num = _id_sum(gone)
+                self._rank((members - gone, f - fit, s - num)
+                           for (members, f), s in zip(cliques, self._id_sums))
 
         return _slot_order(self.headers, newly_final), _slot_order(self.headers, newly_stale)
 
@@ -662,7 +715,8 @@ class ConsensusView:
         thread totals and ``_over`` match their definitions; and every deep
         block lies in a thread that settlement examines, where
         ``_deep_blocks`` finds it with its exact descendant fitness. ``key``
-        is the processed set's key."""
+        is the processed set's key. A cached clique list equals a fresh
+        enumeration, ranked, in members, fitness, order and id sums."""
         active, final, stale = self.active, self.final_set, self.stale_set
         if self.key != _set_key(self.processed()):
             raise AssertionError("the view's key differs from its processed set's")
@@ -707,6 +761,14 @@ class ConsensusView:
             raise AssertionError("a thread holding a deep block is not examined")
         if self._deep_blocks() != deep:
             raise AssertionError("_deep_blocks differs from a recount")
+        cliques = self._cliques
+        if cliques is not None and self._edge_count:
+            fresh = _ranked(self._scored_cliques())
+            if ([(members, fit) for members, fit, _ in fresh] != cliques
+                    or [s for _, _, s in fresh] != self._id_sums):
+                raise AssertionError("the cached cliques differ from a re-enumeration")
+        elif cliques is not None and cliques != [(frozenset(active), self._total_fitness)]:
+            raise AssertionError("the cached clique differs from the active set")
 
     # -- producer support -----------------------------------------------------
 
@@ -884,6 +946,25 @@ def _id_sum(members: Iterable[bytes]) -> int:
     for m in members:
         total += int.from_bytes(m, "big")
     return total
+
+
+class _Lexical:
+    """Orders cliques by their sorted members, sorting only when compared."""
+
+    __slots__ = ("members",)
+
+    def __init__(self, members: frozenset):
+        self.members = members
+
+    def __lt__(self, other: _Lexical) -> bool:
+        return sorted(self.members) < sorted(other.members)
+
+
+def _ranked(scored: Iterable[tuple[frozenset, int, int]]) -> list[tuple[frozenset, int, int]]:
+    """Cliques scored as (members, fitness, id sum), best first per the
+    blockclique rule. The lexicographic tie-break is computed only where
+    fitness and id sum tie."""
+    return sorted(scored, key=lambda c: (-c[1], c[2], _Lexical(c[0])))
 
 
 def replay_trace(fp, params: ProtocolParams, oracle=None, validate: bool = True,

@@ -209,6 +209,51 @@ class TestBlockcliqueSelection:
         assert st.blockclique == st.maximal_cliques()[0][0]
 
 
+class TestCliqueCache:
+    """A view with edges keeps its ranked clique list across an edge-free
+    admission, a false twin's admission and a settlement that only
+    finalizes; ``check_invariants`` re-enumerates it."""
+
+    def _forked(self):
+        st = CompatibilityState(params())
+        g0, g1 = st.genesis_ids
+        a, b = blk(0, 1, [g0, g1]), blk(0, 2, [g0, g1])
+        st.add_block(a)
+        st.add_block(b)
+        assert len(st.maximal_cliques()) == 2
+        return st, a, b
+
+    def test_kept_until_a_block_stales(self):
+        st, a, b = self._forked()
+        g0, g1 = st.genesis_ids
+        y = blk(1, 1, [g0, g1])     # no edge: joins both cliques
+        st.extend(y)
+        assert st.view._cliques is not None
+        assert all(y.id in members for members, _ in st.maximal_cliques())
+        st.check_invariants()
+        tip, settled = y.id, []
+        for i in range(2, 6):
+            x = blk(1, i, [a.id, tip])      # a's false twin: joins a's clique only
+            st.extend(x)
+            assert st.view._cliques is not None
+            assert [x.id in members for members, _ in st.maximal_cliques()] == \
+                [a.id in members for members, _ in st.maximal_cliques()]
+            final, stale = st.update_finality()
+            settled.append((bool(final), bool(stale), st.view._cliques is not None))
+            st.check_invariants()
+            tip = x.id
+        # finals alone keep the list; b's staling drops it
+        assert (True, False, True) in settled and settled[-1] == (True, True, False)
+        assert st.status(b.id) == "stale"
+
+    def test_invariant_catches_a_misranked_list(self):
+        st, _, _ = self._forked()
+        st.check_invariants()
+        st.view._cliques = st.view._cliques[::-1]
+        with pytest.raises(AssertionError, match="cached cliques"):
+            st.check_invariants()
+
+
 class TestFinality:
     def test_gap_exactly_at_threshold_keeps_fork_active(self):
         st = CompatibilityState(params(t=1, f=3))
