@@ -34,6 +34,6 @@ from .security import (
     newcomer_safety_threshold,
     simulate_attacks,
 )
-from .netsim import NetworkTopology, SimConfig, SimMetrics, build_topology, measure_confirmation, run_simulation
+from .netsim import NetworkTopology, SimConfig, SimMetrics, build_topology, run_simulation
 
 __version__ = "0.1.0"

@@ -86,10 +86,16 @@ because:
   nothing reads that order on a clean view.
 - So an adopted view equals the view a private state would reach in the
   handle's own order. ``update_finality`` then returns the blocks finalized
-  since the handle last asked: each thread's finals form one own-parent chain
-  from its genesis (no two finals conflict, so none share an own parent, and
-  a final's own parent is final), walked down from the new final tip to the
-  old one. An adoption stales nothing.
+  since the handle last asked, each thread's chain from the new final tip
+  down to the old one (below). An adoption stales nothing.
+
+A view keeps its finals only as per-thread final tips. No two finals conflict,
+so none share an own parent, and a final's own parent is final: each thread's
+finals form one own-parent chain from its genesis, named by its top. The tip
+rule is parent-first: settlement finalizes parent-first within a thread, so
+each new final extends the chain and becomes the tip. A block neither active
+nor stale is final when its thread's tip covers it (``chain.covers``), and a
+copy costs O(T + active), not O(history).
 
 A dirty view is never published: which blocks stale can depend on the order
 in which they arrived. A handle that replays a trace owns its index and never
@@ -278,11 +284,11 @@ class ConsensusView:
     that hold it (``holders``) and changed only while one handle does.
 
     Blocks must be fed in a parent-respecting order (``UnprocessedParent``
-    otherwise). Settlement is monotone: once a block id lands in the final or
-    stale set it never moves. The active, final and stale sets partition the
-    processed blocks, and ``key`` is the processed set's key. The view reads
-    its handles' ``DagIndex``; a header in the index is not processed until
-    fed."""
+    otherwise). Settlement is monotone: once a block is final or stale it
+    never moves. The active, final and stale sets partition the processed
+    blocks, the finals kept as chains below their tips (module docstring).
+    ``key`` is the processed set's key. The view reads its handles'
+    ``DagIndex``; a header in the index is not processed until fed."""
 
     def __init__(self, params: ProtocolParams, clique_cap: int, index: DagIndex):
         self.params = params
@@ -300,11 +306,10 @@ class ConsensusView:
         self._weight: dict[bytes, int] = {}
         self._thread_weight = [0] * params.thread_count
         self._over: set[int] = set()
-        # per thread, (period, id) of its latest final block; replaced, never
-        # changed, so a handle can keep an old one
-        self._latest_final: tuple[Optional[tuple[int, bytes]], ...] = (None,) * params.thread_count
+        # per thread, the header of its final tip, the last block finalized
+        # there; replaced, never changed, so a handle can keep an old one
+        self._latest_final: tuple[Optional[HeaderMeta], ...] = (None,) * params.thread_count
         self._finals_memo: tuple = (None, None, [])
-        self.final_set: set[bytes] = set()
         self.stale_set: set[bytes] = set()
         self._total_fitness = 0
         self._cliques: Optional[list[tuple[frozenset, int]]] = None
@@ -323,7 +328,6 @@ class ConsensusView:
         view._weight = dict(self._weight)
         view._thread_weight = list(self._thread_weight)
         view._over = set(self._over)
-        view.final_set = set(self.final_set)
         view.stale_set = set(self.stale_set)
         return view
 
@@ -333,18 +337,25 @@ class ConsensusView:
         (module docstring)."""
         return not self._edge_count and not self.stale_set
 
+    @property
+    def final_set(self) -> set[bytes]:
+        """The final blocks: each thread's chain below its final tip."""
+        return set(self.finals_since((None,) * self.params.thread_count))
+
     def processed(self) -> list[bytes]:
         return [*self.active, *self.final_set, *self.stale_set]
 
     # -- queries -------------------------------------------------------------
 
     def status(self, block_id: bytes) -> Optional[str]:
-        if block_id in self.final_set:
-            return STATUS_FINAL
-        if block_id in self.stale_set:
-            return STATUS_STALE
         if block_id in self.active:
             return STATUS_ACTIVE
+        if block_id in self.stale_set:
+            return STATUS_STALE
+        meta = self.headers.get(block_id)
+        tip = meta and self._latest_final[meta.thread]
+        if tip and meta.period <= tip.period and covers(self.headers, meta, tip):
+            return STATUS_FINAL
         return None
 
     # -- graph growth ---------------------------------------------------------
@@ -356,16 +367,11 @@ class ConsensusView:
         # only a parent that is not active can be unprocessed, stale, or a
         # final block that the new one conflicts with
         all_active = all(map(active.__contains__, parents))
-        if not all_active:
-            final, stale = self.final_set, self.stale_set
-            for p in parents:
-                if p not in active and p not in final and p not in stale:
-                    raise UnprocessedParent(f"parent {p.hex()[:16]} not processed")
+        compatible = all_active or self._frontier_compatible(meta)
         self.index.add(meta)
         meta = self.headers[meta.id]
         self.key = key
-        if not all_active and (not stale.isdisjoint(parents)
-                               or not self._frontier_compatible(meta)):
+        if not compatible or not (all_active or self.stale_set.isdisjoint(parents)):
             # a stale parent, or a conflict with an already-final block: can
             # never join the blockclique again
             return self._stale(meta.id)
@@ -407,27 +413,28 @@ class ConsensusView:
         return STATUS_ACTIVE
 
     def _frontier_compatible(self, meta: HeaderMeta) -> bool:
-        """Whether no settled-final block directly conflicts with the block.
+        """Whether no final block directly conflicts with the block; raises
+        ``UnprocessedParent`` for a parent the view has not processed.
 
         Active blocks never conflict with finals (a block only finalizes once
         nothing active conflicts with it), so this needs checking only at
-        admission. A final block at or below the block's parent in its thread
-        is covered by that parent and cannot conflict. An active parent has
-        every final of its thread below it; above a final parent, the finals
-        to test are the walk down from its thread's final tip to it. A walk
-        that reaches genesis without meeting the parent (only unvalidated
-        headers make one) counts as a conflict."""
-        headers = self.headers
-        final = self.final_set
+        admission. A final at or below the block's parent in its thread is
+        covered by that parent, and an active parent has every final of its
+        thread below it. A parent neither active nor stale must be final: the
+        walk by id down its thread's chain from the tip meets it, passing the
+        finals to test, or reaches genesis, for an unprocessed parent."""
+        headers, active, stale = self.headers, self.active, self.stale_set
+        above = []
         for tau, pid in enumerate(meta.parents):
-            if pid not in final:
+            if pid in active or pid in stale:
                 continue
-            cur = headers[self._latest_final[tau][1]]
-            while cur.id != pid:
-                if cur.is_genesis or incompatible(headers, meta, cur):
-                    return False
-                cur = headers[cur.own_parent]
-        return True
+            cur = self._latest_final[tau]
+            while cur and cur.id != pid:
+                above.append(cur)
+                cur = headers.get(cur.own_parent)
+            if not cur:
+                raise UnprocessedParent(f"parent {pid.hex()[:16]} not processed")
+        return not any(incompatible(headers, meta, x) for x in above)
 
     def _stale(self, bid: bytes) -> str:
         self.stale_set.add(bid)
@@ -662,9 +669,8 @@ class ConsensusView:
             out = []
             headers = self.headers
             for tau in compress(range(len(latest)), map(ne, before, latest)):
-                old = before[tau]
-                stop = old[1] if old else None
-                bid = latest[tau][1]
+                stop = before[tau] and before[tau].id
+                bid = latest[tau].id
                 while bid != stop:
                     out.append(bid)
                     bid = headers[bid].own_parent
@@ -699,12 +705,10 @@ class ConsensusView:
                     if totals[sigma] <= self.threshold:
                         self._over.discard(sigma)
         else:
-            self.final_set.add(bid)
-            cur = self._latest_final[tau]
-            if cur is None or (meta.period, bid) > cur:
-                latest = list(self._latest_final)
-                latest[tau] = (meta.period, bid)
-                self._latest_final = tuple(latest)
+            # parent-first, so the block's own parent is the thread's tip
+            latest = list(self._latest_final)
+            latest[tau] = meta
+            self._latest_final = tuple(latest)
 
     def check_invariants(self) -> None:
         """Recount the bookkeeping from the active headers; raise
@@ -775,18 +779,18 @@ class ConsensusView:
     def best_parents(self) -> list[bytes]:
         """Per thread, the blockclique member with the greatest period (falls
         back to the latest final block of the thread once pruned)."""
-        bc = self.blockclique
-        best: list[Optional[tuple[int, bytes]]] = list(self._latest_final)
-        for bid in bc:
+        best = list(self._latest_final)
+        for bid in self.blockclique:
             meta = self.active[bid]
             cur = best[meta.thread]
-            if cur is None or (meta.period, bid) > cur:
-                best[meta.thread] = (meta.period, bid)
+            if (cur is None or meta.period > cur.period
+                    or meta.period == cur.period and bid > cur.id):
+                best[meta.thread] = meta
         out = []
         for tau, entry in enumerate(best):
             if entry is None:
                 raise RuntimeError(f"thread {tau} has no candidate parent")
-            out.append(entry[1])
+            out.append(entry.id)
         return out
 
 
@@ -967,8 +971,7 @@ def _ranked(scored: Iterable[tuple[frozenset, int, int]]) -> list[tuple[frozense
     return sorted(scored, key=lambda c: (-c[1], c[2], _Lexical(c[0])))
 
 
-def replay_trace(fp, params: ProtocolParams, oracle=None, validate: bool = True,
-                 clique_cap: int = DEFAULT_CLIQUE_CAP):
+def replay_trace(fp, params: ProtocolParams, validate: bool = True):
     """Replay a DAG trace file through a fresh consensus instance.
 
     Yields one record per input block, in input order, after the whole trace
@@ -977,8 +980,8 @@ def replay_trace(fp, params: ProtocolParams, oracle=None, validate: bool = True,
     containing the block at the end of the replay (the full clique count for
     final blocks, zero for stale or unresolved ones).
     """
-    store = BlockStore(params, oracle=oracle, validate=validate)
-    state = CompatibilityState(params, clique_cap=clique_cap, index=DagIndex(store.headers))
+    store = BlockStore(params, validate=validate)
+    state = CompatibilityState(params, index=DagIndex(store.headers))
     seen_order: list[bytes] = []
     violations: list[tuple[bytes, list[str]]] = []
     for block in read_trace(fp):
@@ -999,20 +1002,17 @@ def replay_trace(fp, params: ProtocolParams, oracle=None, validate: bool = True,
                 state.add_block(adm)
     violations.extend(store.rejected)
     bad = {bid for bid, _ in violations}
-    cliques = state.maximal_cliques()
+    final, cliques = state.final_set, state.maximal_cliques()
     records = []
     for bid in seen_order:
+        status, n = "unresolved", 0
         if bid in bad:
-            records.append({"id": bid.hex(), "status": "invalid", "cliques": 0})
-            continue
-        status = state.status(bid)
-        if status is None:
-            records.append({"id": bid.hex(), "status": "unresolved", "cliques": 0})
-        elif status == STATUS_ACTIVE:
-            n = sum(1 for members, _ in cliques if bid in members)
-            records.append({"id": bid.hex(), "status": status, "cliques": n})
-        elif status == STATUS_FINAL:
-            records.append({"id": bid.hex(), "status": status, "cliques": len(cliques)})
-        else:
-            records.append({"id": bid.hex(), "status": status, "cliques": 0})
+            status = "invalid"
+        elif bid in final:
+            status, n = STATUS_FINAL, len(cliques)
+        elif bid in state.active:
+            status, n = STATUS_ACTIVE, sum(bid in members for members, _ in cliques)
+        elif bid in state.stale_set:
+            status = STATUS_STALE
+        records.append({"id": bid.hex(), "status": status, "cliques": n})
     return records, violations

@@ -49,7 +49,3 @@ class DomainError(BlockcliqueError, ValueError):
 
 class TopologyError(BlockcliqueError):
     """A connected random topology could not be generated within the retry budget."""
-
-
-class InsufficientData(BlockcliqueError):
-    """A measurement needs more finalized blocks than the run produced."""

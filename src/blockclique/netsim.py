@@ -42,7 +42,7 @@ import numpy as np
 
 from .chain import Block, Endorsement, HeaderMeta, ProtocolParams, Slot, slot_timestamp
 from .consensus import CompatibilityState, DagIndex
-from .errors import InsufficientData, TopologyError
+from .errors import TopologyError
 from .selection import SelectionOracle
 
 log = logging.getLogger(__name__)
@@ -473,13 +473,3 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
             for bid in scope
         ]
     return metrics
-
-
-def measure_confirmation(cfg: SimConfig, min_final: int = 100) -> tuple[float, float]:
-    """Mean creation-to-finality delay at the creating node, and the mean time
-    for a block to reach half the nodes."""
-    metrics = run_simulation(cfg)
-    if metrics.blocks_final < min_final:
-        raise InsufficientData(
-            f"only {metrics.blocks_final} blocks finalized; need {min_final}")
-    return metrics.confirmation_time, metrics.t_half

@@ -9,10 +9,8 @@ import pytest
 from blockclique.chain import ProtocolParams
 from blockclique.cli import canonical_json
 from blockclique.consensus import CompatibilityState
-from blockclique.errors import InsufficientData, TopologyError
-from blockclique.netsim import (
-    SimConfig, apply_overrides, build_topology, measure_confirmation, run_simulation,
-)
+from blockclique.errors import TopologyError
+from blockclique.netsim import SimConfig, apply_overrides, build_topology, run_simulation
 
 
 def toy_config(**kw):
@@ -253,13 +251,3 @@ class TestSharedViews:
         handles = list(self._check(monkeypatch, self._toy(4.0)))
         assert any(h.stale_set for h in handles)
         handles[0].check_invariants()
-
-
-class TestMeasureConfirmation:
-    def test_values_returned(self):
-        conf, t_half = measure_confirmation(toy_config(duration=500.0))
-        assert conf > 0 and t_half >= 0
-
-    def test_insufficient_data(self):
-        with pytest.raises(InsufficientData):
-            measure_confirmation(toy_config(duration=30.0))
