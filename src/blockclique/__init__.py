@@ -24,7 +24,6 @@ from .chain import (
 from .consensus import CompatibilityState, DagIndex, replay_trace
 from .selection import SelectionOracle
 from .security import (
-    FitnessChain,
     ThreatModel,
     attack_duration_stats,
     attack_success_probability,

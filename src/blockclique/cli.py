@@ -212,7 +212,7 @@ def cmd_attack(args) -> int:
             from .security import newcomer_safety_threshold
             record = {
                 "mu": args.mu,
-                "beta_star": newcomer_safety_threshold(args.mu, args.E),
+                "beta_star": newcomer_safety_threshold(args.mu),
             }
             name, text = "attack.json", canonical_json(record) + "\n"
         elif args.beta is None:

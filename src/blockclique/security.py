@@ -10,8 +10,8 @@ absorbed at it.
 
 Jumps span at most E+1 states, so the transient block I - Q is a banded
 Toeplitz matrix with 2(E+1)+1 constant diagonals. ``_band`` is the one
-builder of the transition model (``FitnessChain.matrix`` is a dense view of
-it), and every solve factors the band once, block by block, in
+builder of the transition model (the tests' ``FitnessChain`` oracle is a
+dense view of it), and every solve factors the band once, block by block, in
 O(M (E+1)^2) with M = F(E+1), never forming a dense matrix of order M.
 
 Success probabilities span hundreds of orders of magnitude across the
@@ -103,31 +103,6 @@ def _band(tm: ThreatModel) -> tuple[np.ndarray, list[float], list[float]]:
     hit = [sum(fwd[k:]) for k in range(len(fwd))]
     miss = [sum(bwd[k:]) for k in range(len(bwd))]
     return np.array(fwd[::-1] + [stay] + bwd), hit, miss
-
-
-class FitnessChain:
-    """Explicit transition matrix over all states -F(E+1)..0 (both absorbing
-    endpoints included as identity rows), a dense view of ``_band``. States
-    are ordered from the failure barrier up to the success barrier."""
-
-    def __init__(self, tm: ThreatModel):
-        self.tm = tm
-        m = tm.span
-        band, hit, miss = _band(tm)
-        e1 = len(hit)
-        p = np.zeros((m + 1, m + 1))
-        p[0, 0] = 1.0       # failure barrier
-        p[m, m] = 1.0       # success barrier
-        ks = np.arange(1, m)    # distance from success; state -k is row m-k
-        for d, pr in enumerate(band, start=-e1):
-            live = ks[(ks + d >= 1) & (ks + d < m)]
-            p[m - live, m - live - d] = pr
-        near = ks[ks <= e1]
-        p[m - near, m] = np.take(hit, near - 1)
-        far = ks[m - ks <= e1]
-        p[m - far, 0] = np.take(miss, m - far - 1)
-        self.matrix = p
-        self.states = list(range(-m, 1))
 
 
 def _transient_band(tm: ThreatModel) -> tuple[np.ndarray, np.ndarray]:
@@ -345,30 +320,14 @@ def duration_tail_bound(tm: ThreatModel, n: int) -> float:
     return base ** (n // m)
 
 
-def newcomer_safety_threshold(miss_rate: float, endorsement_slots: int = 0,
-                              tol: float = 1e-9) -> float:
+def newcomer_safety_threshold(miss_rate: float) -> float:
     """Largest attacker share whose clique grows slower in expectation than the
-    honest clique: solves beta (1 + beta E) = gamma (1 + gamma E) by bisection.
-    The solution is independent of E (it reduces to beta = gamma)."""
+    honest clique: the root of beta (1 + beta E) = gamma (1 + gamma E) with
+    gamma = (1 - beta)(1 - mu). x (1 + x E) increases for x >= 0, so that
+    holds exactly when beta = gamma, whatever E: beta = (1 - mu) / (2 - mu)."""
     if not (0.0 <= miss_rate < 1.0):
         raise ValueError("miss_rate must lie in [0, 1)")
-    e = endorsement_slots
-
-    def growth_gap(beta: float) -> float:
-        gamma = (1.0 - beta) * (1.0 - miss_rate)
-        return gamma * (1.0 + gamma * e) - beta * (1.0 + beta * e)
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        gap = growth_gap(mid)
-        if gap == 0.0:
-            return mid
-        if gap > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return (1.0 - miss_rate) / (2.0 - miss_rate)
 
 
 @dataclass
@@ -448,7 +407,7 @@ def analyze(tm: ThreatModel, start: Optional[int] = None,
         "mean_slots": None,
         "std_slots": None,
         "tail_bounds": [],
-        "beta_star": newcomer_safety_threshold(tm.miss_rate, tm.endorsement_slots),
+        "beta_star": newcomer_safety_threshold(tm.miss_rate),
     }
     if with_duration:
         mean, std = attack_duration_stats(tm, start)

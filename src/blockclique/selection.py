@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import json
 import struct
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .chain import Slot
 
@@ -73,23 +72,3 @@ class SelectionOracle:
             self._pick(_draw_u64(self.seed, slot, ROLE_ENDORSEMENT, i))
             for i in range(endorsement_slots)
         ]
-
-    def dump_schedule(self, slots: Iterable[Slot], endorsement_slots: int, fp) -> None:
-        """Write the selection schedule as JSON lines for audit."""
-        for slot in slots:
-            rec = {
-                "slot": {"thread": slot.thread, "period": slot.period},
-                "role": "block",
-                "index": 0,
-                "node": self.draw_block_producer(slot),
-            }
-            fp.write(json.dumps(rec, sort_keys=True) + "\n")
-            for i, node in enumerate(self.draw_endorsers(slot, endorsement_slots)):
-                rec = {
-                    "slot": {"thread": slot.thread, "period": slot.period},
-                    "role": "endorsement",
-                    "index": i,
-                    "node": node,
-                }
-                fp.write(json.dumps(rec, sort_keys=True) + "\n")
-

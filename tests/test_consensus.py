@@ -699,7 +699,9 @@ class TestSharedHeaders:
         # the index, and the first handle to process a block may stale it at
         # admission, before any other has added it to the index. An adopted
         # view is settled, so the private state settles wherever its handle
-        # adopts one (CompatibilityState)
+        # adopts one (CompatibilityState). A handle reports as settled the
+        # union of what its private state settled since the handle last did,
+        # at those adoptions too
         rng = random.Random(7)
         for i in range(200):
             p, blocks = honest_instance(rng) if i % 4 == 0 else random_instance(rng)
@@ -717,13 +719,18 @@ class TestSharedHeaders:
                 for st, ref, bursts in runs:
                     if step >= len(bursts):
                         continue
+                    final, stale = set(), set()
                     for b in bursts[step]:
                         held = st.view
                         assert st.extend(b) == ref.extend(b)
                         if st.view is not held and index.published(st.view):
-                            ref.update_finality()
-                    st.update_finality()
-                    ref.update_finality()
+                            ref_final, ref_stale = ref.update_finality()
+                            final.update(ref_final)
+                            stale.update(ref_stale)
+                    ref_final, ref_stale = ref.update_finality()
+                    got_final, got_stale = st.update_finality()
+                    assert set(got_final) == final.union(ref_final)
+                    assert set(got_stale) == stale.union(ref_stale)
                     st.check_invariants()
                     assert [st.status(b.id) for b in blocks] == [ref.status(b.id) for b in blocks]
                     assert st.maximal_cliques() == ref.maximal_cliques()

@@ -5,11 +5,13 @@ import pytest
 
 from blockclique.errors import DomainError, SingularSystem
 from blockclique.security import (
-    AttackSample, FitnessChain, ThreatModel, _decay_root, _transient_band, analyze,
+    AttackSample, ThreatModel, _decay_root, _transient_band, analyze,
     attack_duration_stats, attack_success_log10, attack_success_probability,
     closed_form_success, duration_tail_bound, jump_probabilities,
     newcomer_safety_threshold, simulate_attacks,
 )
+
+from oracle_security import FitnessChain
 
 
 def _dense_system(tm):
@@ -293,9 +295,14 @@ class TestNewcomerThreshold:
         vals = [newcomer_safety_threshold(mu) for mu in (0.0, 0.01, 0.05, 0.1, 0.3)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_independent_of_endorsement_slots(self):
-        assert newcomer_safety_threshold(0.01, 0) == pytest.approx(
-            newcomer_safety_threshold(0.01, 8), abs=1e-8)
+    def test_solves_growth_balance(self):
+        # beta (1 + beta E) = gamma (1 + gamma E), gamma = (1 - beta)(1 - mu)
+        for mu in (0.0, 0.01, 0.3):
+            beta = newcomer_safety_threshold(mu)
+            gamma = (1.0 - beta) * (1.0 - mu)
+            for e in (0, 2, 8):
+                assert beta * (1.0 + beta * e) == pytest.approx(
+                    gamma * (1.0 + gamma * e), rel=0, abs=1e-12)
 
 
 class TestMonteCarlo:

@@ -1,5 +1,3 @@
-import io
-import json
 import math
 
 from blockclique.chain import Block, Endorsement, Slot, fitness
@@ -93,14 +91,3 @@ class TestFitness:
         for e in range(9):
             assert 1 <= fitness(self._block(e)) <= 9
 
-
-class TestScheduleDump:
-    def test_jsonl_schedule(self):
-        o = SelectionOracle(seed=2, node_weights=4)
-        buf = io.StringIO()
-        o.dump_schedule([Slot(0, 1), Slot(1, 1)], 2, buf)
-        lines = [json.loads(l) for l in buf.getvalue().splitlines()]
-        assert len(lines) == 6  # one block + two endorsement draws per slot
-        assert lines[0]["role"] == "block"
-        assert {l["role"] for l in lines[1:3]} == {"endorsement"}
-        assert all(isinstance(l["node"], int) for l in lines)
