@@ -18,7 +18,6 @@ The block id is the SHA-256 digest of this serialization.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import logging
 import struct
@@ -198,39 +197,28 @@ class Block:
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
-
-
-def _w_slot(out: io.BytesIO, slot: Slot) -> None:
-    out.write(_U32.pack(slot.thread))
-    out.write(_U64.pack(slot.period))
+# the fixed-width runs of the serialization, each packed in one call
+_HEAD = struct.Struct(">IQQI")            # slot thread, period, creator, parent count
+_ENDORSEMENT = struct.Struct(">IQIQ")     # after the endorsed block id
+_TRANSACTION = struct.Struct(">32s32sQQQI")
+_TAIL = struct.Struct(">QQ")              # tx_count, size_bits
 
 
 def encode_block(block: Block) -> bytes:
-    out = io.BytesIO()
-    _w_slot(out, block.slot)
-    out.write(_U64.pack(block.creator))
-    out.write(_U32.pack(len(block.parents)))
-    for p in block.parents:
-        if len(p) != DIGEST_SIZE:
-            raise ValueError("parent ids must be 32 bytes")
-        out.write(p)
-    out.write(_U32.pack(len(block.endorsements)))
+    slot, parents = block.slot, block.parents
+    out = [_HEAD.pack(slot.thread, slot.period, block.creator, len(parents))]
+    if any(map(DIGEST_SIZE.__ne__, map(len, parents))):
+        raise ValueError("parent ids must be 32 bytes")
+    out += parents
+    out.append(_U32.pack(len(block.endorsements)))
     for e in block.endorsements:
-        out.write(e.endorsed_block)
-        _w_slot(out, e.slot)
-        out.write(_U32.pack(e.endorsement_index))
-        out.write(_U64.pack(e.creator))
-    out.write(_U32.pack(len(block.transactions)))
-    for tx in block.transactions:
-        out.write(tx.sender.digest)
-        out.write(tx.receiver.digest)
-        out.write(_U64.pack(tx.amount))
-        out.write(_U64.pack(tx.fee))
-        out.write(_U64.pack(tx.nonce))
-        out.write(_U32.pack(tx.size_bits))
-    out.write(_U64.pack(block.tx_count))
-    out.write(_U64.pack(block.size_bits))
-    return out.getvalue()
+        out += (e.endorsed_block,
+                _ENDORSEMENT.pack(e.slot.thread, e.slot.period, e.endorsement_index, e.creator))
+    out.append(_U32.pack(len(block.transactions)))
+    out += [_TRANSACTION.pack(tx.sender.digest, tx.receiver.digest, tx.amount, tx.fee,
+                              tx.nonce, tx.size_bits) for tx in block.transactions]
+    out.append(_TAIL.pack(block.tx_count, block.size_bits))
+    return b"".join(out)
 
 
 class _Reader:
@@ -466,10 +454,10 @@ def validate_block_structure(block: Block, store: BlockStore,
         if block.id != make_genesis(block.thread).id:
             return ["non-canonical genesis block"]
         return []
-    missing = [p for p in block.parents if p not in store]
+    headers = store.headers
+    missing = [p for p in block.parents if p not in headers]
     if missing:
         raise MissingParent(block.id, missing)
-    headers = store.headers
     violations = shape_violations(block, headers, t)
     if violations:
         return violations
@@ -488,18 +476,29 @@ def validate_block_structure(block: Block, store: BlockStore,
     # parent must lie on the own-thread chain of the declared parent in tau.
     # Stored parents passed this check themselves, so a parent's latest
     # thread-tau ancestor is its own thread-tau parent, and a genesis parent
-    # outside tau has none. Each distinct ancestor is checked once, in parent
-    # order; the declared parent's own parent is covered by it.
-    columns = zip(*(parent.parents for parent in parents if not parent.is_genesis))
-    for tau, column in enumerate(columns):
-        ref_id = block.parents[tau]
-        for anc_id in dict.fromkeys(column):
-            if anc_id != ref_id and not covers(headers, headers[anc_id], parents[tau]):
+    # has none. Stored headers passed shape_violations, so a grandparent's
+    # thread is its column: one set union of the T parent tuples gives the
+    # distinct grandparents, and each is tested once against the declared
+    # parent in its thread, except the declared parents and their own
+    # parents, which they cover (on the fork_replay traces, none is left to
+    # test). Only when a test fails are the messages built: the first
+    # uncovered ancestor per thread, in parent order.
+    grandparents = set().union(*[parent.parents for parent in parents])
+    grandparents.difference_update(block.parents, [parent.own_parent for parent in parents])
+    uncovered = set()
+    for anc_id in grandparents:
+        anc = headers[anc_id]
+        if not covers(headers, anc, parents[anc.thread]):
+            uncovered.add(anc_id)
+    if uncovered:
+        columns = zip(*(parent.parents for parent in parents if not parent.is_genesis))
+        for tau, column in enumerate(columns):
+            anc_id = next((a for a in column if a in uncovered), None)
+            if anc_id is not None:
                 violations.append(
                     f"ancestor {anc_id.hex()[:12]} in thread {tau} is not covered "
                     f"by the declared parent"
                 )
-                break
 
     for tx in block.transactions:
         if thread_of_address(tx.sender, params) != block.thread:
@@ -584,7 +583,7 @@ def record_to_block(record: Mapping) -> Block:
     block = Block(
         slot=Slot(record["slot"]["thread"], record["slot"]["period"]),
         creator=record["creator"],
-        parents=tuple(bytes.fromhex(p) for p in record["parents"]),
+        parents=tuple(map(bytes.fromhex, record["parents"])),
         endorsements=tuple(
             Endorsement(
                 bytes.fromhex(e["endorsed_block"]),

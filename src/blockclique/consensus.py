@@ -124,8 +124,8 @@ from itertools import compress
 from operator import ne
 from typing import Iterable, Optional
 
-from .chain import (Block, BlockStore, HeaderMeta, ProtocolParams, covers, incompatible,
-                    make_genesis, read_trace)
+from .chain import (BlockStore, HeaderMeta, ProtocolParams, covers, incompatible, make_genesis,
+                    read_trace)
 from .errors import CliqueExplosion, StructuralViolation, UnprocessedParent
 
 log = logging.getLogger(__name__)
@@ -198,14 +198,15 @@ class DagIndex:
         meta = self.headers.setdefault(bid, meta)
         above = set()
         for pid in meta.parents:
-            while pid in live:
-                above.add(pid)
-                pid = live[pid].own_parent
+            x = live.get(pid)
+            while x is not None:
+                above.add(x.id)
+                x = live.get(x.own_parent)
         headers, conflicts = self.headers, self.conflicts
-        for x in live.values():
-            if x.id not in above and incompatible(headers, meta, x):
-                conflicts.setdefault(bid, set()).add(x.id)
-                conflicts.setdefault(x.id, set()).add(bid)
+        for xid in live.keys() - above:
+            if incompatible(headers, meta, live[xid]):
+                conflicts.setdefault(bid, set()).add(xid)
+                conflicts.setdefault(xid, set()).add(bid)
         live[bid] = meta
         self.threads[meta.thread][bid] = meta
 
@@ -544,35 +545,38 @@ class ConsensusView:
         other candidates is in every maximal clique of its branch, so it is
         taken without branching. Any pivot yields each maximal clique once;
         the one with the fewest edges is the cheap pick."""
-        incompat = self._incompat
-        degree = {v: len(edges) for v, edges in incompat.items()}
+        degree = {v: len(edges) for v, edges in self._incompat.items()}
         results: list[frozenset] = []
-        cap = self.clique_cap
-
-        def bk(r: list, p: set, x: set) -> None:
-            free = [v for v in p if p.isdisjoint(incompat[v])]
-            r = r + free
-            p = p.difference(free)
-            for v in free:
-                x = x - incompat[v]
-            if not p:
-                if not x:
-                    results.append(frozenset(r))
-                    if len(results) > cap:
-                        raise CliqueExplosion(f"more than {cap} maximal cliques")
-                return
-            pivot = min(p | x, key=degree.__getitem__)
-            ext = p & (incompat[pivot] | {pivot})
-            for v in ext:
-                edges = incompat[v]
-                rest = p - edges
-                rest.discard(v)
-                bk(r + [v], rest, x - edges)
-                p.discard(v)
-                x.add(v)
-
-        bk([v for v in self.active if v not in degree], set(degree), set())
+        self._bron_kerbosch([v for v in self.active if v not in degree], set(degree), set(),
+                            degree, results)
         return results
+
+    def _bron_kerbosch(self, r: list, p: set, x: set, degree: dict[bytes, int],
+                       results: list[frozenset]) -> None:
+        """One branch: clique ``r``, candidates ``p``, excluded ``x``. A
+        method rather than a closure, which would refer to itself and leave a
+        reference cycle holding the results behind every enumeration."""
+        incompat = self._incompat
+        free = [v for v in p if p.isdisjoint(incompat[v])]
+        r = r + free
+        p = p.difference(free)
+        for v in free:
+            x = x - incompat[v]
+        if not p:
+            if not x:
+                results.append(frozenset(r))
+                if len(results) > self.clique_cap:
+                    raise CliqueExplosion(f"more than {self.clique_cap} maximal cliques")
+            return
+        pivot = min(p | x, key=degree.__getitem__)
+        ext = p & (incompat[pivot] | {pivot})
+        for v in ext:
+            edges = incompat[v]
+            rest = p - edges
+            rest.discard(v)
+            self._bron_kerbosch(r + [v], rest, x - edges, degree, results)
+            p.discard(v)
+            x.add(v)
 
     @property
     def blockclique(self) -> frozenset:
@@ -867,10 +871,6 @@ class CompatibilityState:
 
     # -- graph growth ---------------------------------------------------------
 
-    def extend(self, block: Block) -> str:
-        """Insert one structurally valid block; returns its resulting status."""
-        return self.extend_meta(HeaderMeta.from_block(block))
-
     def extend_meta(self, meta: HeaderMeta) -> str:
         """Insert one header whose parents were processed; returns its status.
         The header is trusted to be ancestor-consistent (module docstring).
@@ -919,13 +919,13 @@ class CompatibilityState:
             self.index.settle(final + stale)
         return final, stale
 
-    def add_block(self, block: Block) -> tuple[str, list[bytes], list[bytes]]:
-        """Extend with one block and settle; the one-call driving loop."""
-        status = self.extend(block)
+    def add_block(self, meta: HeaderMeta) -> tuple[str, list[bytes], list[bytes]]:
+        """Extend with one header and settle; the one-call driving loop."""
+        status = self.extend_meta(meta)
         if status == STATUS_STALE:
             return status, [], []
         final, stale = self.update_finality()
-        if block.id in self.stale_set:
+        if meta.id in self.stale_set:
             status = STATUS_STALE
         return status, final, stale
 
@@ -997,7 +997,7 @@ def replay_trace(fp, params: ProtocolParams, validate: bool = True):
             continue
         for adm in admitted:
             if not adm.is_genesis:
-                state.add_block(adm)
+                state.add_block(store.headers[adm.id])
     violations.extend(store.rejected)
     bad = {bid for bid, _ in violations}
     final, cliques = state.final_set, state.maximal_cliques()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from blockclique.chain import (
-    Block, BlockStore, Endorsement, ProtocolParams, Slot, validate_block_structure,
+    Block, BlockStore, Endorsement, HeaderMeta, ProtocolParams, Slot, validate_block_structure,
 )
 from blockclique.errors import MissingParent
 
@@ -103,7 +103,7 @@ def honest_instance(rng: random.Random, steps: int | None = None):
         if block.id in store:
             return None
         store.receive(block)
-        engine.add_block(block)
+        engine.add_block(HeaderMeta.from_block(block))
         blocks.append(block)
         return block
 

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from blockclique.chain import HeaderMeta
 from blockclique.cli import main as cli_main
 from blockclique.consensus import CompatibilityState
 from blockclique.netsim import run_simulation
@@ -168,7 +169,7 @@ class TestCriterion9CliqueOracle:
             engine = CompatibilityState(params)
             oracle = OracleConsensus(params)
             for b in blocks:
-                s_e = engine.add_block(b)[0]
+                s_e = engine.add_block(HeaderMeta.from_block(b))[0]
                 s_o = oracle.add_block(b)
                 snap = oracle.snapshot()
                 if (s_e != s_o
@@ -194,7 +195,7 @@ class TestCriterion10Determinism:
             for _ in range(10):
                 st = CompatibilityState(params)
                 for b in parent_respecting_shuffle(blocks, rng):
-                    st.add_block(b)
+                    st.add_block(HeaderMeta.from_block(b))
                 outcome = (frozenset(st.blockclique), frozenset(st.final_set),
                            frozenset(st.stale_set))
                 if reference is None:

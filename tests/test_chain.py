@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -126,6 +127,28 @@ class TestSerialization:
         with pytest.raises(ValueError):
             decode_block(encode_block(make_genesis(0)) + b"\x00")
 
+    def test_block_id_bytes_pinned(self):
+        # a layout change made to encoding and decoding together keeps every
+        # round trip; the digest of one full block does not
+        own = make_genesis(3).id
+        slot = Slot(3, 7)
+        block = Block(
+            slot=slot, creator=41, parents=tuple(make_genesis(t).id for t in range(4)),
+            endorsements=(Endorsement(own, slot, 0, 5), Endorsement(own, slot, 1, 2**40 + 9)),
+            transactions=(
+                Transaction(Address.from_seed("alice"), Address.from_seed("bob"), 1000,
+                            fee=3, nonce=1),
+                Transaction(Address.from_seed("bob"), Address.from_seed("carol"), 2**33,
+                            nonce=2**50, size_bits=777),
+            ),
+            size_bits=4096,
+        )
+        data = encode_block(block)
+        assert len(data) == 472
+        assert hashlib.sha256(data).hexdigest() == \
+            "c6c1a91f55c42307bb1271770f0c51bebd0eb46454b3694d3e4b9dc3f2ea9219"
+        assert block.id.hex() == hashlib.sha256(data).hexdigest()
+
 
 # -- structural validation -----------------------------------------------------
 
@@ -235,7 +258,29 @@ class TestValidation:
                    endorsements=(bad,), size_bits=100)
         assert any("own-thread parent" in v for v in validate_block_structure(b2, store, p))
 
-    @pytest.mark.parametrize("t", [1, 2, 4, 8])
+    def test_ancestor_violations_in_several_threads(self):
+        # thread 0: two uncovered ancestors, the one reached through the
+        # first parent reported; thread 3: one uncovered ancestor that two
+        # parents name; threads 1 and 2: own parents of declared parents
+        p, store = chain_fixture()
+        g0, g1, g2, g3 = store.genesis_ids
+        a0 = mk_block(store, 0, 1, store.genesis_ids)
+        a0b = mk_block(store, 0, 2, [a0.id, g1, g2, g3])
+        d3 = mk_block(store, 3, 1, store.genesis_ids)
+        b1 = mk_block(store, 1, 1, [a0b.id, g1, g2, d3.id])
+        b2 = mk_block(store, 2, 1, [a0.id, g1, g2, d3.id])
+        f3 = mk_block(store, 3, 1, [a0.id, g1, g2, g3], creator=2)
+        for b in (a0, a0b, d3, b1, b2, f3):
+            assert store.receive(b) == [b]
+        bad = mk_block(store, 1, 2, [g0, b1.id, b2.id, f3.id])
+        got = validate_block_structure(bad, store, p)
+        assert got == [
+            f"ancestor {a0b.id.hex()[:12]} in thread 0 is not covered by the declared parent",
+            f"ancestor {d3.id.hex()[:12]} in thread 3 is not covered by the declared parent",
+        ]
+        assert got == pairwise_ancestor_violations(bad, store)
+
+    @pytest.mark.parametrize("t", [1, 2, 4, 8, 32])
     def test_ancestor_messages_match_pairwise_reference(self, t):
         # random parents per thread, mostly recent ones, and some own-thread
         # periods that are not larger; blocks carry no transactions and no

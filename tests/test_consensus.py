@@ -1,3 +1,4 @@
+import gc
 import io
 import random
 
@@ -70,8 +71,8 @@ class TestIncompatibilityPredicates:
         st = CompatibilityState(params())
         g0, g1 = st.genesis_ids
         a, b = blk(0, 1, [g0, g1]), blk(0, 2, [g0, g1])
-        st.extend(a)
-        st.extend(b)
+        st.extend_meta(HeaderMeta.from_block(a))
+        st.extend_meta(HeaderMeta.from_block(b))
         assert self.conflict(st, a.id, b.id)
 
     def test_parent_child_not_thread_incompatible(self):
@@ -79,15 +80,15 @@ class TestIncompatibilityPredicates:
         g0, g1 = st.genesis_ids
         a = blk(0, 1, [g0, g1])
         b = blk(0, 2, [a.id, g1])
-        st.extend(a)
-        st.extend(b)
+        st.extend_meta(HeaderMeta.from_block(a))
+        st.extend_meta(HeaderMeta.from_block(b))
         assert not self.conflict(st, a.id, b.id)
 
     def test_genesis_never_incompatible(self):
         st = CompatibilityState(params())
         g0, g1 = st.genesis_ids
         a = blk(0, 1, [g0, g1])
-        st.extend(a)
+        st.extend_meta(HeaderMeta.from_block(a))
         assert not self.conflict(st, g0, a.id)
         assert not self.conflict(st, a.id, g0)
 
@@ -96,23 +97,23 @@ class TestIncompatibilityPredicates:
         g0, g1 = st.genesis_ids
         x = blk(0, 1, [g0, g1])
         y = blk(1, 1, [g0, g1])
-        st.extend(x)
-        st.extend(y)
+        st.extend_meta(HeaderMeta.from_block(x))
+        st.extend_meta(HeaderMeta.from_block(y))
         return st, g0, g1, x, y
 
     def test_mutual_grandparent_references_conflict(self):
         st, g0, g1, x, y = self._grandpa_setup()
         c = blk(0, 2, [x.id, g1])   # ignores y, references its grandparent in 1
         d = blk(1, 2, [g0, y.id])   # ignores x, references its grandparent in 0
-        st.extend(c)
-        st.extend(d)
+        st.extend_meta(HeaderMeta.from_block(c))
+        st.extend_meta(HeaderMeta.from_block(d))
         assert self.conflict(st, c.id, d.id)
         assert self.conflict(st, d.id, c.id)  # symmetric
 
     def test_referencing_the_parent_itself_is_compatible(self):
         st, g0, g1, x, y = self._grandpa_setup()
         c = blk(0, 2, [x.id, g1])
-        st.extend(c)
+        st.extend_meta(HeaderMeta.from_block(c))
         assert not self.conflict(st, c.id, y.id)
 
 
@@ -120,7 +121,7 @@ class TestExtend:
     def test_first_block_single_clique(self):
         st = CompatibilityState(params())
         b = blk(0, 1, st.genesis_ids)
-        assert st.extend(b) == "active"
+        assert st.extend_meta(HeaderMeta.from_block(b)) == "active"
         cliques = st.maximal_cliques()
         assert len(cliques) == 1
         assert cliques[0][0] == frozenset([*st.genesis_ids, b.id])
@@ -128,8 +129,8 @@ class TestExtend:
     def test_two_maximal_cliques_on_thread_conflict(self):
         st = CompatibilityState(params())
         g0, g1 = st.genesis_ids
-        st.extend(blk(0, 1, [g0, g1]))
-        st.extend(blk(0, 2, [g0, g1]))
+        st.extend_meta(HeaderMeta.from_block(blk(0, 1, [g0, g1])))
+        st.extend_meta(HeaderMeta.from_block(blk(0, 2, [g0, g1])))
         assert len(st.maximal_cliques()) == 2
         for members, _ in st.maximal_cliques():
             assert g0 in members and g1 in members
@@ -138,13 +139,13 @@ class TestExtend:
         st = CompatibilityState(params())
         g0, g1 = st.genesis_ids
         a, b = blk(0, 1, [g0, g1]), blk(0, 2, [g0, g1])
-        st.extend(a)
-        st.extend(b)
+        st.extend_meta(HeaderMeta.from_block(a))
+        st.extend_meta(HeaderMeta.from_block(b))
         # references both sides of a thread conflict through threads 0 and 1
         c1 = blk(1, 1, [a.id, g1])
-        st.extend(c1)
+        st.extend_meta(HeaderMeta.from_block(c1))
         mixed = blk(1, 2, [b.id, c1.id])
-        assert st.extend(mixed) == "stale"
+        assert st.extend_meta(HeaderMeta.from_block(mixed)) == "stale"
         assert mixed.id in st.stale_set
 
     def test_unprocessed_parent_raises(self):
@@ -153,29 +154,29 @@ class TestExtend:
         a = blk(0, 1, [g0, g1])
         child = blk(0, 2, [a.id, g1])
         with pytest.raises(UnprocessedParent):
-            st.extend(child)
+            st.extend_meta(HeaderMeta.from_block(child))
 
     def test_stale_parent_makes_block_stale_at_admission(self):
         st = CompatibilityState(params(t=1, f=1))
         g0 = st.genesis_ids[0]
         main = blk(0, 1, [g0])
         fork = blk(0, 2, [g0])
-        st.add_block(main)
-        st.add_block(fork)
+        st.add_block(HeaderMeta.from_block(main))
+        st.add_block(HeaderMeta.from_block(fork))
         tip = main.id
         for i in range(3, 7):
             nxt = blk(0, i, [tip])
-            st.add_block(nxt)
+            st.add_block(HeaderMeta.from_block(nxt))
             tip = nxt.id
         assert st.status(fork.id) == "stale"
         late = blk(0, 99, [fork.id])
-        assert st.add_block(late)[0] == "stale"
+        assert st.add_block(HeaderMeta.from_block(late))[0] == "stale"
 
     def test_clique_explosion_cap(self):
         st = CompatibilityState(params(t=1, f=3), clique_cap=4)
         g0 = st.genesis_ids[0]
         for i in range(1, 7):
-            st.extend(blk(0, i, [g0], creator=i))
+            st.extend_meta(HeaderMeta.from_block(blk(0, i, [g0], creator=i)))
         with pytest.raises(CliqueExplosion):
             st.maximal_cliques()
 
@@ -186,10 +187,10 @@ class TestBlockcliqueSelection:
         g0 = st.genesis_ids[0]
         a = blk(0, 1, [g0])
         b = blk(0, 2, [g0])
-        st.extend(a)
-        st.extend(b)
+        st.extend_meta(HeaderMeta.from_block(a))
+        st.extend_meta(HeaderMeta.from_block(b))
         child = blk(0, 3, [a.id])
-        st.extend(child)
+        st.extend_meta(HeaderMeta.from_block(child))
         bc = st.blockclique
         assert a.id in bc and child.id in bc and b.id not in bc
 
@@ -198,14 +199,14 @@ class TestBlockcliqueSelection:
         g0 = st.genesis_ids[0]
         a = blk(0, 1, [g0], creator=1)
         b = blk(0, 1, [g0], creator=2)
-        st.extend(a)
-        st.extend(b)
+        st.extend_meta(HeaderMeta.from_block(a))
+        st.extend_meta(HeaderMeta.from_block(b))
         expected = min([a, b], key=lambda x: int.from_bytes(x.id, "big"))
         assert expected.id in st.blockclique
 
     def test_single_clique_selected(self):
         st = CompatibilityState(params())
-        st.extend(blk(0, 1, st.genesis_ids))
+        st.extend_meta(HeaderMeta.from_block(blk(0, 1, st.genesis_ids)))
         assert st.blockclique == st.maximal_cliques()[0][0]
 
 
@@ -218,8 +219,8 @@ class TestCliqueCache:
         st = CompatibilityState(params())
         g0, g1 = st.genesis_ids
         a, b = blk(0, 1, [g0, g1]), blk(0, 2, [g0, g1])
-        st.add_block(a)
-        st.add_block(b)
+        st.add_block(HeaderMeta.from_block(a))
+        st.add_block(HeaderMeta.from_block(b))
         assert len(st.maximal_cliques()) == 2
         return st, a, b
 
@@ -227,14 +228,14 @@ class TestCliqueCache:
         st, a, b = self._forked()
         g0, g1 = st.genesis_ids
         y = blk(1, 1, [g0, g1])     # no edge: joins both cliques
-        st.extend(y)
+        st.extend_meta(HeaderMeta.from_block(y))
         assert st.view._cliques is not None
         assert all(y.id in members for members, _ in st.maximal_cliques())
         st.check_invariants()
         tip, settled = y.id, []
         for i in range(2, 6):
             x = blk(1, i, [a.id, tip])      # a's false twin: joins a's clique only
-            st.extend(x)
+            st.extend_meta(HeaderMeta.from_block(x))
             assert st.view._cliques is not None
             assert [x.id in members for members, _ in st.maximal_cliques()] == \
                 [a.id in members for members, _ in st.maximal_cliques()]
@@ -245,6 +246,22 @@ class TestCliqueCache:
         # finals alone keep the list; b's staling drops it
         assert (True, False, True) in settled and settled[-1] == (True, True, False)
         assert st.status(b.id) == "stale"
+
+    def test_enumeration_leaves_no_cycle(self):
+        # the Bron-Kerbosch recursion leaves no reference cycle behind, so
+        # reference counting alone frees what an enumeration built
+        st = CompatibilityState(params(t=1, f=3))
+        g0 = st.genesis_ids[0]
+        for i in range(1, 4):
+            st.extend_meta(HeaderMeta.from_block(blk(0, i, [g0], creator=i)))
+        st.view._cliques = None
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(st.maximal_cliques()) == 3
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_invariant_catches_a_misranked_list(self):
         st, _, _ = self._forked()
@@ -260,16 +277,16 @@ class TestFinality:
         g0 = st.genesis_ids[0]
         main = blk(0, 1, [g0])
         fork = blk(0, 2, [g0])
-        st.add_block(main)
-        st.add_block(fork)
+        st.add_block(HeaderMeta.from_block(main))
+        st.add_block(HeaderMeta.from_block(fork))
         tip = main.id
         for i in range(3, 6):        # blockclique leads by exactly threshold
             nxt = blk(0, i, [tip])
-            st.add_block(nxt)
+            st.add_block(HeaderMeta.from_block(nxt))
             tip = nxt.id
         assert st.status(fork.id) == "active"
         nxt = blk(0, 6, [tip])       # one more: strictly beyond
-        st.add_block(nxt)
+        st.add_block(HeaderMeta.from_block(nxt))
         assert st.status(fork.id) == "stale"
 
     def test_losing_fork_four_behind_settles_stale(self):
@@ -278,14 +295,14 @@ class TestFinality:
         main = blk(0, 1, [g0])
         fork = blk(0, 2, [g0])
         fork_child = blk(0, 3, [fork.id])
-        st.add_block(main)
-        st.add_block(fork)
-        st.add_block(fork_child)
+        st.add_block(HeaderMeta.from_block(main))
+        st.add_block(HeaderMeta.from_block(fork))
+        st.add_block(HeaderMeta.from_block(fork_child))
         tip = main.id
         stale_events = []
         for i in range(4, 10):
             nxt = blk(0, i, [tip])
-            _, _, stale = st.add_block(nxt)
+            _, _, stale = st.add_block(HeaderMeta.from_block(nxt))
             stale_events.extend(stale)
             tip = nxt.id
         assert st.status(fork.id) == "stale"
@@ -302,7 +319,7 @@ class TestFinality:
         chain = []
         for i in range(1, 10):
             nxt = blk(0, i, [tip])
-            st.add_block(nxt)
+            st.add_block(HeaderMeta.from_block(nxt))
             chain.append(nxt)
             tip = nxt.id
             for depth, b in enumerate(reversed(chain)):
@@ -316,7 +333,7 @@ class TestFinality:
             st = CompatibilityState(p)
             settled: dict[bytes, str] = {}
             for b in blocks:
-                st.add_block(b)
+                st.add_block(HeaderMeta.from_block(b))
                 for bid, verdict in settled.items():
                     assert st.status(bid) == verdict
                 for bid in st.final_set:
@@ -330,7 +347,7 @@ class TestFinality:
             p, blocks = random_instance(rng, max_blocks=14)
             st = CompatibilityState(p)
             for b in blocks:
-                st.add_block(b)
+                st.add_block(HeaderMeta.from_block(b))
             bc = sorted(st.blockclique)
             for i, a in enumerate(bc):
                 for b in bc[i + 1:]:
@@ -354,7 +371,7 @@ class TestFinality:
         assert b0.id < g1
         for b in (b0, b1, b2, b3):
             for adm in store.receive(b):
-                st.add_block(adm)
+                st.add_block(HeaderMeta.from_block(adm))
             st.check_invariants()
         assert {g1, b0.id} <= st.final_set
 
@@ -367,12 +384,12 @@ class TestBestParents:
     def test_tip_advances_per_thread(self):
         st = CompatibilityState(params())
         b = blk(0, 1, st.genesis_ids)
-        st.add_block(b)
+        st.add_block(HeaderMeta.from_block(b))
         assert st.best_parents() == [b.id, st.genesis_ids[1]]
 
     def test_pure_function_of_state(self):
         st = CompatibilityState(params())
-        st.add_block(blk(0, 1, st.genesis_ids))
+        st.add_block(HeaderMeta.from_block(blk(0, 1, st.genesis_ids)))
         assert st.best_parents() == st.best_parents()
 
     def test_falls_back_to_latest_final(self):
@@ -381,7 +398,7 @@ class TestBestParents:
         tip = g0
         for i in range(1, 6):
             nxt = blk(0, i, [tip])
-            st.add_block(nxt)
+            st.add_block(HeaderMeta.from_block(nxt))
             tip = nxt.id
         assert st.best_parents() == [tip]
 
@@ -398,7 +415,7 @@ class TestOrderIndependence:
             for _ in range(4):
                 st = CompatibilityState(p)
                 for b in parent_respecting_shuffle(blocks, rng):
-                    st.add_block(b)
+                    st.add_block(HeaderMeta.from_block(b))
                 outcome = (frozenset(st.blockclique), frozenset(st.final_set),
                            frozenset(st.stale_set))
                 if reference is None:
@@ -415,7 +432,7 @@ class TestOracleEquivalence:
             engine = CompatibilityState(p)
             oracle = OracleConsensus(p)
             for b in blocks:
-                s_e, _, _ = engine.add_block(b)
+                s_e, _, _ = engine.add_block(HeaderMeta.from_block(b))
                 s_o = oracle.add_block(b)
                 assert s_e == s_o, "admission verdicts diverged"
                 snap = oracle.snapshot()
@@ -450,7 +467,7 @@ class TestAncestry:
                 assert engine.view._frontier_compatible(meta_b) == (
                     not any(incompatible(headers, meta_b, headers[f])
                             for f in engine.final_set))
-            engine.add_block(b)
+            engine.add_block(HeaderMeta.from_block(b))
             engine.check_invariants()
             reference.meta[b.id] = engine.headers[b.id]
             active = engine.active
@@ -518,9 +535,9 @@ class TestAncestry:
         c = blk(0, 2, [a.id, g1])
         self._check_walks(p, ys + [a, c])
         for b in ys + [a]:
-            st.add_block(b)
+            st.add_block(HeaderMeta.from_block(b))
         assert {ys[0].id, ys[1].id} <= st.final_set
-        assert st.add_block(c)[0] == "stale"
+        assert st.add_block(HeaderMeta.from_block(c))[0] == "stale"
 
 
 class TestForkedThreads:
@@ -534,7 +551,7 @@ class TestForkedThreads:
         engine = CompatibilityState(p)
         oracle = OracleConsensus(p)
         for b in blocks:
-            assert engine.add_block(b)[0] == oracle.add_block(b)
+            assert engine.add_block(HeaderMeta.from_block(b))[0] == oracle.add_block(b)
             engine.check_invariants()
             snap = oracle.snapshot()
             assert engine.final_set == snap["final"]
@@ -602,13 +619,13 @@ class TestSharedHeaders:
         g0, g1 = fed.genesis_ids
         a = blk(0, 1, [g0, g1])
         child = blk(0, 2, [a.id, g1])
-        fed.extend(a)
+        fed.extend_meta(HeaderMeta.from_block(a))
         assert a.id in index.headers and a.id in index.live
         assert other.status(a.id) is None
         with pytest.raises(UnprocessedParent):
-            other.extend(child)
-        assert other.extend(a) == "active"
-        assert other.extend(child) == "active"
+            other.extend_meta(HeaderMeta.from_block(child))
+        assert other.extend_meta(HeaderMeta.from_block(a)) == "active"
+        assert other.extend_meta(HeaderMeta.from_block(child)) == "active"
 
     @staticmethod
     def _outcome(st, blocks):
@@ -622,7 +639,8 @@ class TestSharedHeaders:
         private = [CompatibilityState(p) for _ in orders]
         for step in range(len(blocks)):
             for order, st, ref in zip(orders, shared, private):
-                assert st.add_block(order[step]) == ref.add_block(order[step])
+                meta = HeaderMeta.from_block(order[step])
+                assert st.add_block(meta) == ref.add_block(meta)
                 st.check_invariants()
                 assert self._outcome(st, blocks) == self._outcome(ref, blocks)
                 # one header object per id, whichever state read it first
@@ -647,7 +665,8 @@ class TestSharedHeaders:
         blocks = [a1, a2, b2]
 
         def feed(i, block):
-            assert handles[i].add_block(block) == private[i].add_block(block)
+            meta = HeaderMeta.from_block(block)
+            assert handles[i].add_block(meta) == private[i].add_block(meta)
             for st, ref in zip(handles, private):
                 st.check_invariants()
                 assert self._outcome(st, blocks) == self._outcome(ref, blocks)
@@ -722,7 +741,8 @@ class TestSharedHeaders:
                     final, stale = set(), set()
                     for b in bursts[step]:
                         held = st.view
-                        assert st.extend(b) == ref.extend(b)
+                        meta = HeaderMeta.from_block(b)
+                        assert st.extend_meta(meta) == ref.extend_meta(meta)
                         if st.view is not held and index.published(st.view):
                             ref_final, ref_stale = ref.update_finality()
                             final.update(ref_final)
