@@ -22,7 +22,7 @@ import json
 import logging
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import InsufficientBalance, MissingParent, StructuralViolation, UnknownBlock
@@ -75,6 +75,7 @@ class ProtocolParams:
         return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
 
 
+@total_ordering
 @dataclass(frozen=True, order=False)
 class Slot:
     """A (thread, period) block slot position."""
@@ -88,20 +89,8 @@ class Slot:
 
     # Slots are totally ordered by timestamp; for any fixed thread count this
     # is the lexicographic (period, thread) order.
-    def _key(self) -> tuple[int, int]:
-        return (self.period, self.thread)
-
     def __lt__(self, other: "Slot") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "Slot") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "Slot") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "Slot") -> bool:
-        return self._key() >= other._key()
+        return (self.period, self.thread) < (other.period, other.thread)
 
 
 def slot_timestamp(slot: Slot, params: ProtocolParams) -> float:

@@ -48,12 +48,8 @@ def canonical_json(obj) -> str:
 
 
 def _write_json(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
+    if obj is None or isinstance(obj, bool):
+        out.append(json.dumps(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
@@ -317,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run the peer-to-peer network simulator")
     sim.add_argument("--config", help="JSON config file mirroring SimConfig fields")
-    sim.add_argument("--override", nargs="*", default=[],
+    sim.add_argument("--override", nargs="*", action="extend", default=[],
                      help="key=value overrides (N, B, L, T, t0, S_B, C_B, F, E, mu, ...)")
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--out", default=".", help="output directory")
@@ -349,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("replay", help="replay a DAG trace through consensus")
     rep.add_argument("--trace", required=True, help="JSON-lines DAG trace file")
     rep.add_argument("--config", help="JSON file carrying protocol parameters")
-    rep.add_argument("--override", nargs="*", default=[],
+    rep.add_argument("--override", nargs="*", action="extend", default=[],
                      help="protocol overrides (T, t0, S_B, F, E)")
     rep.add_argument("--no-validate", action="store_true",
                      help="skip structural validation")

@@ -116,7 +116,6 @@ can only be larger, and every reader restricts it to a view's active blocks.
 
 from __future__ import annotations
 
-import copy
 import logging
 import weakref
 from collections import Counter
@@ -321,7 +320,8 @@ class ConsensusView:
 
     def copy(self) -> ConsensusView:
         """A copy, held by no handle yet."""
-        view = copy.copy(self)
+        view = ConsensusView.__new__(ConsensusView)
+        view.__dict__.update(self.__dict__)
         view.holders = 0
         view.active = dict(self.active)
         view._incompat = {bid: set(edges) for bid, edges in self._incompat.items()}
@@ -662,14 +662,9 @@ class ConsensusView:
         """The blocks finalized since the per-thread final tips were
         ``before``, in slot order: each thread's finals form one own-parent
         chain from its genesis (module docstring), walked down from the tip.
-        Tips that are the same tuple give no block at once. Otherwise the
-        last answer is kept, keyed by the identity of both tip tuples: the
-        handles adopting a view mostly arrive from one view, and in 240 s
-        desk runs (simulator seeds 1 and 2) 17,093 of the 30,574 calls with
-        differing tips (56%) repeat the previous such call's pair."""
+        The last answer is kept, keyed by the identity of both tip tuples, as
+        the handles adopting a view mostly arrive from one view."""
         latest = self._latest_final
-        if before is latest:
-            return []
         last_before, last_latest, out = self._finals_memo
         if before is not last_before or latest is not last_latest:
             out = []
@@ -680,7 +675,8 @@ class ConsensusView:
                 while bid != stop:
                     out.append(bid)
                     bid = headers[bid].own_parent
-            out = _slot_order(headers, out)
+            if len(out) > 1:
+                out = _slot_order(headers, out)
             self._finals_memo = (before, latest, out)
         return list(out)
 
@@ -805,7 +801,8 @@ class CompatibilityState:
     same blocks in the same order would, where that state also settles at the
     handle's adoptions, as adopted views are settled; the simulator and
     replay settle after every block. Without an index it owns a private one
-    and never shares."""
+    and never shares. A view the last ``extend_meta`` adopted is published
+    and settled, so ``update_finality`` takes it as such without a lookup."""
 
     def __init__(self, params: ProtocolParams, clique_cap: int = DEFAULT_CLIQUE_CAP,
                  index: Optional[DagIndex] = None):
@@ -823,13 +820,7 @@ class CompatibilityState:
         self.view = view
         # the view's final tips as of the last settlement
         self._tips = view._latest_final
-
-    def _hold(self, view: ConsensusView) -> None:
-        view.holders += 1
-        old, self.view = self.view, view
-        old.holders -= 1
-        if not old.holders:
-            self.index.unpublish(old)
+        self._adopted = False    # the last extend_meta adopted the view
 
     # -- queries -------------------------------------------------------------
 
@@ -876,22 +867,30 @@ class CompatibilityState:
         The header is trusted to be ancestor-consistent (module docstring).
         Adopts the view published for the grown set if there is one, else
         grows its own view, copied first if another handle holds it."""
-        view = self.view
-        status = view.status(meta.id)
+        view, bid = self.view, meta.id
+        self._adopted = False
+        status = view.status(bid)
         if status is not None:
             return status
-        key = (view.key + _ONE_BLOCK) ^ int.from_bytes(meta.id, "big")
-        shared = self.index.lookup(key)
+        key = (view.key + _ONE_BLOCK) ^ int.from_bytes(bid, "big")
+        ref = self.index.views.get(key)
+        shared = ref and ref()
         if shared is not None:
             # the set is clean and the block has no descendant in it, so it
             # is active there
-            self._hold(shared)
+            shared.holders += 1
+            view.holders -= 1
+            if not view.holders:
+                self.index.unpublish(view)
+            self.view, self._adopted = shared, True
             return STATUS_ACTIVE
         if view.holders > 1:
-            self._hold(view.copy())
+            view.holders -= 1
+            view = self.view = view.copy()
+            view.holders = 1
         else:
             self.index.unpublish(view)
-        status = self.view.extend_meta(meta, key)
+        status = view.extend_meta(meta, key)
         if status == STATUS_STALE:
             self.index.settle((meta.id,))
         return status
@@ -907,13 +906,13 @@ class CompatibilityState:
         published view was settled when published and has not changed since;
         a clean view is published once settled."""
         view = self.view
-        if self.index.published(view):
+        if self._adopted or self.index.published(view):
             stale = []
         else:
             stale = view.update_finality()
             if view.clean:
                 self.index.publish(view)
-        final = view.finals_since(self._tips)
+        final = [] if view._latest_final is self._tips else view.finals_since(self._tips)
         self._tips = view._latest_final
         if final or stale:
             self.index.settle(final + stale)

@@ -18,6 +18,16 @@ verification costs the same for every block. So a parent reaches every node's
 processing step before its child, and a break in that order raises
 ``UnprocessedParent`` instead of going unnoticed.
 
+Holder flags, one per node, record who holds each block some node lacks;
+relay, the channel and arrival skip a copy for a holder. They are dropped
+once every node holds the block, when every queued copy would be skipped
+anyway. A transmission reserves two sequence numbers, for the send-done that
+frees its channel and for its arrival. The send-done enters the heap only
+when a transmission waits on it: at once if the channel's queue is not
+empty, else when a relay queues there before the send-done's key; after it,
+the channel is free, as the send-done would have popped with nothing to
+send. So every event with an effect keeps its (time, sequence) key.
+
 Headers and their direct conflicts are facts every node agrees on: a run
 keeps one ``DagIndex``, filled as blocks are created, that every node's
 consensus state reads, so a block's direct conflicts are computed once. Each
@@ -53,6 +63,7 @@ _EV_SLOT = 0
 _EV_ARRIVE = 1
 _EV_PROCESS = 2
 _EV_SEND_DONE = 3
+_FREE = (-math.inf, -1)    # a free channel's send-done, below every event's key
 
 
 @dataclass(frozen=True)
@@ -121,36 +132,23 @@ def apply_overrides(cfg: SimConfig, overrides: Mapping[str, str]) -> SimConfig:
     for key, raw in overrides.items():
         if key == "C_B":
             bitrate = float(raw)
-            continue
-        if key in _PROTOCOL_ALIASES:
-            proto_kwargs[_PROTOCOL_ALIASES[key]] = raw
-        elif key in ProtocolParams.__dataclass_fields__:
-            proto_kwargs[key] = raw
-        elif key in _OVERRIDE_ALIASES:
-            cfg_kwargs[_OVERRIDE_ALIASES[key]] = raw
-        elif key in SimConfig.__dataclass_fields__:
-            cfg_kwargs[key] = raw
+        elif _PROTOCOL_ALIASES.get(key, key) in ProtocolParams.__dataclass_fields__:
+            proto_kwargs[_PROTOCOL_ALIASES.get(key, key)] = raw
+        elif _OVERRIDE_ALIASES.get(key, key) in SimConfig.__dataclass_fields__:
+            cfg_kwargs[_OVERRIDE_ALIASES.get(key, key)] = raw
         else:
             raise KeyError(f"unknown override {key!r}")
     proto = cfg.protocol
     if proto_kwargs:
-        fields = {}
-        for name, raw in proto_kwargs.items():
-            kind = type(getattr(proto, name))
-            fields[name] = _parse(raw, kind)
-        proto = replace(proto, **fields)
+        proto = replace(proto, **{name: _parse(raw, type(getattr(proto, name)))
+                                  for name, raw in proto_kwargs.items()})
     if bitrate is not None:
         proto = replace(proto, max_block_size=int(
             bitrate * proto.slot_interval / proto.thread_count))
+    parsed = {name: raw if name == "protocol" else _parse(raw, type(getattr(cfg, name)))
+              for name, raw in cfg_kwargs.items()}
     if proto is not cfg.protocol:
-        cfg_kwargs["protocol"] = proto
-    parsed = {}
-    for name, raw in cfg_kwargs.items():
-        if name == "protocol":
-            parsed[name] = raw
-            continue
-        kind = type(getattr(cfg, name))
-        parsed[name] = _parse(raw, kind)
+        parsed["protocol"] = proto
     return replace(cfg, **parsed)
 
 
@@ -282,17 +280,19 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
     oracle = SelectionOracle(_derive_seed(cfg.seed, "blockclique.sim.selection"),
                              cfg.node_count)
     miss_seed = _derive_seed(cfg.seed, "blockclique.sim.miss")
+    n = cfg.node_count
     index = DagIndex()
     headers = index.headers
-    states = [CompatibilityState(params, index=index) for _ in range(cfg.node_count)]
-    seen: list[set[bytes]] = [set() for _ in range(cfg.node_count)]
-    send_queue: list[deque] = [deque() for _ in range(cfg.node_count)]
-    sending = [False] * cfg.node_count
-    half_needed = math.ceil(cfg.node_count / 2)
+    states = [CompatibilityState(params, index=index) for _ in range(n)]
+    send_queue: list[deque] = [deque() for _ in range(n)]
+    half_needed = math.ceil(n / 2)
     prop: Optional[dict[bytes, list]] = {} if collect_propagation else None
+    # bound at call time: a tracer may swap this module's ``heapq``
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     created_at: dict[bytes, float] = {}
     holders: dict[bytes, int] = {}
+    have: dict[bytes, bytearray] = {}     # per block some node lacks, who holds it
     half_at: dict[bytes, float] = {}
     settle: dict[bytes, tuple[str, float]] = {}   # at the creating node
     max_lag = 0.0
@@ -303,6 +303,11 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
     wire_extra = params.endorsement_slots * cfg.tx_size if cfg.endorsements_enabled else 0
     # every simulated block is full
     wire_bits = params.max_block_size + wire_extra
+    send_time = [wire_bits / b for b in topo.bandwidths]
+    links = [list(peer_lat.items()) for peer_lat in topo.peer_latency]    # in ``peers`` order
+    # per sender, the send-done entry held back for the transmission on its
+    # channel, None once it is in the heap, or _FREE
+    held: list = [_FREE] * n
     tx_count = cfg.tx_per_block
     verify_cost = cfg.block_verify_time + tx_count * cfg.tx_verify_time
 
@@ -315,46 +320,55 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
             slot = Slot(tau, period)
             ts = slot_timestamp(slot, params)
             if ts <= cfg.duration:
-                heapq.heappush(heap, (ts, seq, _EV_SLOT, slot, None))
+                heappush(heap, (ts, seq, _EV_SLOT, slot, None))
                 seq += 1
                 slots_scheduled += 1
 
-    def relay(sender: int, block_id: bytes, now: float) -> None:
-        """Queue a block for every link peer still missing it on the sender's
-        sequential upload channel. Transmissions whose destination gets the
-        block by the time the channel frees up are skipped without cost;
-        ``seen`` only grows, so a peer holding it now would be skipped then."""
+    def relay(sender: int, block_id: bytes, now: float, cur: int) -> None:
+        """At event (now, cur), queue a block for each link peer missing it on
+        the sender's upload channel, then start the channel or push its
+        held-back send-done (module docstring)."""
+        flags = have.get(block_id)
+        if flags is None:
+            return
         q = send_queue[sender]
-        lat = topo.peer_latency[sender]
-        for dst in topo.peers[sender]:
-            if block_id not in seen[dst]:
-                q.append((dst, lat[dst], block_id))
-        if not sending[sender]:
+        for dst, lat in links[sender]:
+            if not flags[dst]:
+                q.append((dst, lat, block_id, flags))
+        entry = held[sender]
+        if not q or entry is None:
+            return
+        if entry < (now, cur):
             start_send(sender, now)
+        else:
+            heappush(heap, entry)
+            held[sender] = None
 
     def start_send(sender: int, now: float) -> None:
         nonlocal seq, transmissions
         q = send_queue[sender]
         while q:
-            dst, lat, bid = q.popleft()
-            if bid in seen[dst]:
+            dst, lat, bid, flags = q.popleft()
+            if flags[dst]:
                 continue
-            done = now + wire_bits / topo.bandwidths[sender]
-            sending[sender] = True
+            done = now + send_time[sender]
             transmissions += 1
-            heapq.heappush(heap, (done, seq, _EV_SEND_DONE, sender, None))
-            seq += 1
-            heapq.heappush(heap, (done + lat, seq, _EV_ARRIVE, dst, bid))
-            seq += 1
+            entry = (done, seq, _EV_SEND_DONE, sender, None)
+            heappush(heap, (done + lat, seq + 1, _EV_ARRIVE, dst, bid))
+            seq += 2
+            if q:
+                heappush(heap, entry)
+                entry = None
+            held[sender] = entry
             return
-        sending[sender] = False
+        held[sender] = _FREE
 
-    def process(node_idx: int, block_id: bytes, now: float) -> None:
+    def process(node_idx: int, block_id: bytes, now: float, cur: int) -> None:
         nonlocal max_lag, max_cliques
         lag = now - created_at[block_id]
         if lag > max_lag:
             max_lag = lag
-        relay(node_idx, block_id, now)
+        relay(node_idx, block_id, now, cur)
         state = states[node_idx]
         state.extend_meta(headers[block_id])
         final, stale = state.update_finality()
@@ -368,10 +382,29 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
                     settle[bid] = (verdict, now)
 
     while heap:
-        now, _, kind, a, b = heapq.heappop(heap)
+        now, cur, kind, a, b = heappop(heap)
         if now > cfg.duration:
             break
-        if kind == _EV_SLOT:
+        if kind == _EV_ARRIVE:
+            flags = have.get(b)
+            if flags is None or flags[a]:
+                continue
+            flags[a] = 1
+            count = holders[b] + 1
+            holders[b] = count
+            if count == half_needed:
+                half_at[b] = now
+            if count == n:
+                del have[b]
+            if prop is not None:
+                prop[b].append((a, now))
+            heappush(heap, (now + verify_cost, seq, _EV_PROCESS, a, b))
+            seq += 1
+        elif kind == _EV_SEND_DONE:
+            start_send(a, now)
+        elif kind == _EV_PROCESS:
+            process(a, b, now, cur)
+        else:
             slot = a
             if cfg.miss_rate > 0.0 and _miss_draw(miss_seed, slot, 0) < cfg.miss_rate:
                 slots_missed += 1
@@ -394,34 +427,18 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
             index.add(HeaderMeta.from_block(block))
             created_at[bid] = now
             holders[bid] = 1
+            have[bid] = flags = bytearray(n)
+            flags[producer] = 1
             if half_needed <= 1:
                 half_at[bid] = now
             if prop is not None:
                 prop[bid] = [(producer, now)]
-            seen[producer].add(bid)
-            process(producer, bid, now)
-        elif kind == _EV_ARRIVE:
-            if b in seen[a]:
-                continue
-            seen[a].add(b)
-            count = holders[b] + 1
-            holders[b] = count
-            if count == half_needed:
-                half_at[b] = now
-            if prop is not None:
-                prop[b].append((a, now))
-            heapq.heappush(heap, (now + verify_cost, seq, _EV_PROCESS, a, b))
-            seq += 1
-        elif kind == _EV_PROCESS:
-            process(a, b, now)
-        else:
-            start_send(a, now)
+            process(producer, bid, now, cur)
 
     # -- measurements over blocks created after the warm-up -------------------
     warmup = cfg.warmup
     scope = [bid for bid, t in created_at.items() if t >= warmup]
     produced = len(scope)
-    final_tx = 0
     finals = stales = 0
     conf_times: list[float] = []
     half_times: list[float] = []
@@ -430,7 +447,6 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
         verdict, when = settle.get(bid, (None, None))
         if verdict == "final":
             finals += 1
-            final_tx += tx_count
             conf_times.append(when - created_at[bid])
         elif verdict == "stale":
             stales += 1
@@ -448,7 +464,7 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
             })
     span = cfg.duration - warmup
     metrics = SimMetrics(
-        throughput=final_tx / span if span > 0 else 0.0,
+        throughput=finals * tx_count / span if span > 0 else 0.0,
         stale_rate=stales / produced if produced else 0.0,
         confirmation_time=sum(conf_times) / len(conf_times) if conf_times else None,
         t_half=sum(half_times) / len(half_times) if half_times else None,

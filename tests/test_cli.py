@@ -51,6 +51,15 @@ class TestSimulateCommand:
         b = (tmp_path / "b" / "metrics.json").read_bytes()
         assert a == b
 
+    def test_override_flag_given_twice_keeps_both(self, tmp_path):
+        base = ["simulate", "--config", "configs/toy.json", "--seed", "3"]
+        assert run(base + ["--override", "N=6", "T=4", "duration=60",
+                           "--out", str(tmp_path / "one")]) == 0
+        assert run(base + ["--override", "N=6", "--override", "T=4", "duration=60",
+                           "--out", str(tmp_path / "two")]) == 0
+        one = (tmp_path / "one" / "metrics.json").read_bytes()
+        assert (tmp_path / "two" / "metrics.json").read_bytes() == one
+
     def test_malformed_config_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -184,6 +193,20 @@ class TestReplayCommand:
         first = capsys.readouterr().out
         assert run(argv) == 0
         assert capsys.readouterr().out == first
+
+    def test_override_flag_given_twice_keeps_both(self, tmp_path, capsys):
+        rng = random.Random(11)
+        params, blocks = random_instance(rng, max_blocks=12)
+        trace = tmp_path / "trace.jsonl"
+        self._write_trace(trace, params, blocks)
+        pairs = [f"T={params.thread_count}", f"F={params.finality}",
+                 f"E={params.endorsement_slots}", "t0=4", "S_B=10000"]
+        outputs = []
+        for flags in (["--override", *pairs], ["--override", *pairs[:2], "--override", *pairs[2:]]):
+            assert run(["replay", "--trace", str(trace), *flags,
+                        "--out", str(tmp_path / str(len(outputs)))]) == 0
+            outputs.append((tmp_path / str(len(outputs)) / "replay.jsonl").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_empty_trace_ok(self, tmp_path, capsys):
         trace = tmp_path / "empty.jsonl"

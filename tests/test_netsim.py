@@ -1,8 +1,11 @@
 import hashlib
+import heapq
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,7 +13,9 @@ from blockclique.chain import ProtocolParams
 from blockclique.cli import canonical_json
 from blockclique.consensus import CompatibilityState
 from blockclique.errors import TopologyError
-from blockclique.netsim import SimConfig, apply_overrides, build_topology, run_simulation
+from blockclique import netsim
+from blockclique.netsim import (NetworkTopology, SimConfig, apply_overrides, build_topology,
+                                run_simulation)
 
 
 def toy_config(**kw):
@@ -185,6 +190,46 @@ class TestForkingRun:
         assert (m.blocks_stale, m.blocks_final, m.blocks_produced) == (33, 69, 113)
         text = canonical_json(m.to_dict()) + canonical_json(m.block_records)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+
+
+class TestTiedEvents:
+    """With equal bandwidths, equal latencies and dyadic delays, event times
+    tie exactly and only the sequence numbers order the events: every send
+    takes 0.125 s, every link 0.0625 s and every verification 0.0625 s.
+    Metrics and every propagation arrival are pinned byte for byte."""
+
+    DIGESTS = {
+        7: "e4f9c7727a1d5dfdef2bc98708de04c0d1f73edbe045b28d86ba1d33b7a41cee",
+        8: "1b265a5c315470643c5dba4f5a7af38cbf5cc548b556f86af31ef1f99beaeaf1",
+        9: "4aaa1c1a526c72cb824f2c537a80d87810eb1a21d5faa64623ff6d203e4a4f34",
+    }
+    LATENCY = 0.0625
+
+    @classmethod
+    def _uniform_topology(cls, cfg, max_retries=100):
+        topo = build_topology(cfg, max_retries)
+        return NetworkTopology([cfg.mean_bandwidth] * cfg.node_count, topo.successors,
+                               [[cls.LATENCY] * len(s) for s in topo.successors], topo.peers,
+                               [dict.fromkeys(lat, cls.LATENCY) for lat in topo.peer_latency])
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_pinned_outcome(self, monkeypatch, seed):
+        popped: Counter = Counter()
+
+        def counting_pop(heap):
+            item = heapq.heappop(heap)
+            popped[item[0]] += 1
+            return item
+
+        monkeypatch.setattr(netsim, "build_topology", self._uniform_topology)
+        monkeypatch.setattr(netsim, "heapq",
+                            SimpleNamespace(heappush=heapq.heappush, heappop=counting_pop))
+        cfg = toy_config(node_count=32, duration=120, mean_bandwidth=800_000,
+                         block_verify_time=0.0625, tx_verify_time=0, seed=seed)
+        m = run_simulation(cfg, collect_propagation=True)
+        assert sum(count > 1 for count in popped.values()) >= 500
+        text = canonical_json(m.to_dict()) + canonical_json(m.propagation)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[seed]
 
 
 class TestSharedViews:
