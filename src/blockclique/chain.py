@@ -270,7 +270,10 @@ def fitness(block: Block) -> int:
 class HeaderMeta:
     """Immutable header facts of one block: what validation and consensus
     read. Each process keeps one map from block id to header, so that
-    ``covers`` may compare headers by identity."""
+    ``covers`` may compare headers by identity. A header built from its
+    parents' stored headers names them by those headers' own id objects, so
+    a block store's ids are interned: one object per block, which the map's
+    key, ``id`` and every child's ``parents`` and ``own_parent`` share."""
 
     id: bytes
     thread: int
@@ -282,10 +285,14 @@ class HeaderMeta:
     is_genesis: bool
 
     @classmethod
-    def from_block(cls, block: Block) -> "HeaderMeta":
-        """Header of a genesis block or of one that passed ``shape_violations``."""
-        own = None if block.is_genesis else block.parents[block.thread]
-        return cls(block.id, block.thread, block.slot.period, block.creator, block.parents,
+    def from_block(cls, block: Block,
+                   parents: Optional[list["HeaderMeta"]] = None) -> "HeaderMeta":
+        """Header of a genesis block or of one that passed ``shape_violations``.
+        Given the parents' stored headers, it names each parent by the
+        stored header's id object rather than the block's copy."""
+        ids = block.parents if parents is None else tuple([parent.id for parent in parents])
+        own = ids[block.thread] if ids else None
+        return cls(block.id, block.thread, block.slot.period, block.creator, ids,
                    own, fitness(block), block.is_genesis)
 
 
@@ -318,7 +325,10 @@ class BlockStore:
     Blocks whose parents are unknown are buffered in a bounded waiting pool and
     re-processed when the missing parents arrive. Genesis blocks are seeded at
     construction. ``headers`` is the process's header map, which a consensus
-    state may share.
+    state may share. Its ids are interned: a stored header's ``parents`` and
+    ``own_parent`` are the parents' own id objects, taken from the headers
+    that admission looks up anyway, so id comparisons in validation and
+    consensus succeed on identity, and a header holds no copy of an id.
     """
 
     def __init__(self, params: ProtocolParams, oracle=None, validate: bool = True,
@@ -368,12 +378,13 @@ class BlockStore:
         queue = [(block, True)]
         while queue:
             blk, direct = queue.pop(0)
-            missing = [p for p in blk.parents if p not in headers]
-            if missing:
-                self._buffer(blk, missing)
+            parents = list(map(headers.get, blk.parents))
+            if None in parents:
+                self._buffer(blk, [p for p, h in zip(blk.parents, parents) if h is None])
                 continue
             if self.validate:
-                violations = validate_block_structure(blk, self, self.params, self.oracle)
+                violations = validate_block_structure(blk, self, self.params, self.oracle,
+                                                      parents)
                 if violations:
                     if direct:
                         raise StructuralViolation(blk.id, violations)
@@ -382,10 +393,10 @@ class BlockStore:
                                 blk.id.hex()[:16], "; ".join(violations))
                     continue
             elif not blk.is_genesis:
-                shape = shape_violations(blk, headers, self.params.thread_count)
+                shape = shape_violations(blk, parents, self.params.thread_count)
                 if shape:
                     raise ValueError(f"block {blk.id.hex()[:12]}: {'; '.join(shape)}")
-            headers[blk.id] = HeaderMeta.from_block(blk)
+            headers[blk.id] = HeaderMeta.from_block(blk, parents)
             accepted.append(blk)
             # release any blocks that were waiting on this one
             for rid in self._waiting.pop(blk.id, ()):
@@ -416,38 +427,42 @@ class BlockStore:
             self._waiting.setdefault(m, []).append(block.id)
 
 
-def shape_violations(block: Block, headers: Mapping[bytes, HeaderMeta],
+def shape_violations(block: Block, parents: list[HeaderMeta],
                      thread_count: int) -> list[str]:
-    """Check the shape of a non-genesis header whose parents are all known:
-    its thread is below T, it names T parents, and parent τ lies in thread τ.
-    Consensus indexes headers by these facts, so a block store admits no
-    header that fails here, with or without validation."""
+    """Check the shape of a non-genesis header, given its parents' stored
+    headers: its thread is below T, it names T parents, and parent τ lies in
+    thread τ. Consensus indexes headers by these facts, so a block store
+    admits no header that fails here, with or without validation."""
     if block.thread >= thread_count:
         return [f"thread {block.thread} out of range for T={thread_count}"]
-    if len(block.parents) != thread_count:
-        return [f"expected {thread_count} parents, got {len(block.parents)}"]
-    return [f"parent {tau} lies in thread {headers[pid].thread}"
-            for tau, pid in enumerate(block.parents) if headers[pid].thread != tau]
+    if len(parents) != thread_count:
+        return [f"expected {thread_count} parents, got {len(parents)}"]
+    return [f"parent {tau} lies in thread {parent.thread}"
+            for tau, parent in enumerate(parents) if parent.thread != tau]
 
 
-def validate_block_structure(block: Block, store: BlockStore,
-                             params: ProtocolParams, oracle=None) -> list[str]:
+def validate_block_structure(block: Block, store: BlockStore, params: ProtocolParams,
+                             oracle=None, parents: Optional[list[HeaderMeta]] = None
+                             ) -> list[str]:
     """Check the structural validity of a block against known blocks.
 
     Returns a list of violations (empty when the block is valid). Raises
     MissingParent when some parent is not yet in the store; the caller is
-    expected to buffer the block and retry once parents arrive.
+    expected to buffer the block and retry once parents arrive. A caller
+    that has looked up the parents' stored headers passes them as
+    ``parents``, in the block's parent order.
     """
     t = params.thread_count
     if block.is_genesis:
         if block.id != make_genesis(block.thread).id:
             return ["non-canonical genesis block"]
         return []
-    headers = store.headers
-    missing = [p for p in block.parents if p not in headers]
-    if missing:
-        raise MissingParent(block.id, missing)
-    violations = shape_violations(block, headers, t)
+    if parents is None:
+        parents = list(map(store.headers.get, block.parents))
+        if None in parents:
+            raise MissingParent(block.id, [p for p, h in zip(block.parents, parents)
+                                           if h is None])
+    violations = shape_violations(block, parents, t)
     if violations:
         return violations
     if block.slot.period < 1:
@@ -456,7 +471,7 @@ def validate_block_structure(block: Block, store: BlockStore,
         violations.append(f"size {block.size_bits} exceeds limit {params.max_block_size}")
     if violations:
         return violations
-    parents = [headers[pid] for pid in block.parents]
+    headers = store.headers
     own = parents[block.thread]
     if own.period >= block.slot.period:
         violations.append("own-thread parent period is not strictly smaller")

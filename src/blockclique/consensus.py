@@ -46,12 +46,32 @@ the blocks above it in its thread, itself included. Settlement examines only
 the threads whose total exceeds the threshold, as no block of another thread
 can be deep, with one pass over each from the top, children before parents.
 
+With more than one clique, an edge-free deep block x lies in every clique,
+and its descendants outside a clique all have edges, so the final rule
+subtracts, per clique, the fitness of the outsiders that descend from x. That
+needs no chain walk: an active block y descends from x, of thread τ, exactly
+when the period of y's τ-parent q is at least x's period.
+
+- If y descends from x, q covers x, so its period is at least x's.
+- Conversely, the finals of τ lie on x's own-thread chain below x: an active
+  block never conflicts with a final, and one off that chain would. So a
+  final q is below x's period. An active q at or above it that does not
+  cover x lies on another branch of τ. The two blocks just above the fork
+  point, one on each branch, are thread-incompatible. Neither is stale, as
+  x and q are active, nor final, as a block conflicting with a final is
+  stale and so are its descendants. So the two share an edge, edges are
+  closed under descent, and x would not be edge-free.
+
 Headers must be ancestor-consistent, as structural validation enforces: every
 thread-τ ancestor of a block lies on the own-thread chain of its τ-parent, so
-the own-thread subtree sums count exactly a block's active descendants.
-Consensus trusts this rule and does not re-check it; ``replay --no-validate``
-feeds unchecked headers. Their shape (``chain.shape_violations``) is checked
-by the block store even then.
+the own-thread subtree sums count exactly a block's active descendants. Like
+those sums, the descent test assumes validated headers: its proof needs
+ancestor consistency and periods that rise along each thread's chain. Consensus
+trusts these rules and does not re-check them; ``replay --no-validate`` feeds
+unchecked headers. ``check_invariants`` compares the descent test with the
+descendants it finds by following parents. The headers' shape
+(``chain.shape_violations``) is checked by the block store even without
+validation.
 
 Every node of a simulation runs this state machine over the same blocks, and
 most nodes process the same sets. A ``CompatibilityState`` is one node's
@@ -621,18 +641,20 @@ class ConsensusView:
         else:
             # an edge-free block is in every clique; the fitness of its
             # descendants inside a clique is its exact descendant fitness
-            # minus that of those outside, which all have edges. y descends
-            # from x iff y's parent in x's thread covers x
-            meta_map = self.headers
-            outsiders = [[meta_map[v] for v in incompat if v not in members]
+            # minus that of those outside, which all have edges. An active y
+            # descends from an edge-free active x exactly when y's parent in
+            # x's thread is at x's period or above (module docstring)
+            headers = self.headers
+            outsiders = [[headers[v] for v in incompat if v not in members]
                          for members, _ in cliques]
             for bid, desc in deep.items():
                 if bid in newly_stale or bid in incompat:
                     continue
-                x = meta_map[bid]
+                x = headers[bid]
+                tau, period = x.thread, x.period
                 for out in outsiders:
                     outside = sum(y.fitness for y in out
-                                  if covers(meta_map, x, meta_map[y.parents[x.thread]]))
+                                  if headers[y.parents[tau]].period >= period)
                     if desc - outside > threshold:
                         newly_final.append(bid)
                         break
@@ -719,9 +741,13 @@ class ConsensusView:
         active block has every edge of each active parent); ``_weight``, the
         thread totals and ``_over`` match their definitions; and every deep
         block lies in a thread that settlement examines, where
-        ``_deep_blocks`` finds it with its exact descendant fitness. ``key``
-        is the processed set's key. A cached clique list equals a fresh
-        enumeration, ranked, in members, fitness, order and id sums."""
+        ``_deep_blocks`` finds it with its exact descendant fitness. For an
+        edge-free active x and a non-genesis active y other than x, y
+        descends from x exactly when y's parent in x's thread is at x's
+        period or above (the final rule's descent test, against descendants
+        found by following parents). ``key`` is the processed set's key. A cached
+        clique list equals a fresh enumeration, ranked, in members, fitness,
+        order and id sums."""
         active, final, stale = self.active, self.final_set, self.stale_set
         if self.key != _set_key(self.processed()):
             raise AssertionError("the view's key differs from its processed set's")
@@ -764,6 +790,16 @@ class ConsensusView:
             raise AssertionError("a thread holding a deep block is not examined")
         if self._deep_blocks() != deep:
             raise AssertionError("_deep_blocks differs from a recount")
+        headers = self.headers
+        for x in active.values():
+            if x.id in self._incompat:
+                continue
+            below = set(self._descendants({x.id}))
+            for y in active.values():
+                if y is not x and not y.is_genesis and (
+                        (y.id in below) != (headers[y.parents[x.thread]].period >= x.period)):
+                    raise AssertionError(f"the descent test fails for {y.id.hex()[:16]} "
+                                         f"and edge-free {x.id.hex()[:16]}")
         cliques = self._cliques
         if cliques is not None and self._incompat:
             fresh = _ranked(self._scored_cliques())

@@ -6,6 +6,7 @@ import pytest
 
 from blockclique.chain import (Block, BlockStore, HeaderMeta, ProtocolParams, Slot, covers,
                                incompatible, make_genesis, write_trace)
+from blockclique import consensus
 from blockclique.consensus import CompatibilityState, DagIndex, replay_trace
 from blockclique.errors import CliqueExplosion, UnknownBlock, UnprocessedParent
 
@@ -788,6 +789,39 @@ class TestReplay:
         records, violations = replay_trace(self._trace([orphan], p), p)
         assert violations == []
         assert records[-1]["status"] == "unresolved"
+
+    def test_stored_ids_are_interned(self, monkeypatch):
+        # blocks name genesis parents, and c arrives before its parent b, so
+        # the waiting pool releases it: every stored header names its parents
+        # by the header map's own id objects, not by the trace's copies
+        stores, late = [], []
+
+        class RecordingStore(BlockStore):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                stores.append(self)
+
+            def _buffer(self, block, missing):
+                late.append(block.id)
+                super()._buffer(block, missing)
+
+        monkeypatch.setattr(consensus, "BlockStore", RecordingStore)
+        p = params()
+        g0, g1 = (make_genesis(t).id for t in range(2))
+        a = blk(0, 1, [g0, g1])
+        b = blk(1, 1, [a.id, g1])
+        c = blk(0, 2, [a.id, b.id])
+        d = blk(1, 2, [c.id, b.id])
+        records, violations = replay_trace(self._trace([a, c, b, d], p), p)
+        assert violations == [] and late == [c.id]
+        assert {r["status"] for r in records} == {"active"}
+        (store,) = stores
+        headers = store.headers
+        assert len(headers) == 6 and store.pending_count == 0
+        for bid, meta in headers.items():
+            assert bid is meta.id
+            assert all(pid is headers[pid].id for pid in meta.parents)
+            assert meta.own_parent is None or meta.own_parent is headers[meta.own_parent].id
 
     def test_replay_is_byte_stable(self):
         rng = random.Random(3)

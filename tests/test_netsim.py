@@ -203,6 +203,8 @@ class TestTiedEvents:
         8: "1b265a5c315470643c5dba4f5a7af38cbf5cc548b556f86af31ef1f99beaeaf1",
         9: "4aaa1c1a526c72cb824f2c537a80d87810eb1a21d5faa64623ff6d203e4a4f34",
     }
+    # slots 0.5 s apart, less than a block takes to reach every node
+    BUSY_DIGEST = "49b87442203ecb3a14f97775f62670e4c4b708444d18a05a2518c42d40afdddd"
     LATENCY = 0.0625
 
     @classmethod
@@ -212,24 +214,48 @@ class TestTiedEvents:
                                [[cls.LATENCY] * len(s) for s in topo.successors], topo.peers,
                                [dict.fromkeys(lat, cls.LATENCY) for lat in topo.peer_latency])
 
-    @pytest.mark.parametrize("seed", sorted(DIGESTS))
-    def test_pinned_outcome(self, monkeypatch, seed):
+    def _run(self, monkeypatch, **overrides):
+        """The run's digest; per event time, the events popped at it; and
+        the send-dones pushed at a slot event for that very instant, which
+        only a held-back send-done meeting the slot's relay produces."""
         popped: Counter = Counter()
+        last = [None]
+        meets = [0]
 
         def counting_pop(heap):
-            item = heapq.heappop(heap)
+            item = last[0] = heapq.heappop(heap)
             popped[item[0]] += 1
             return item
 
+        def counting_push(heap, item):
+            cur = last[0]
+            if item[2] == netsim._EV_SEND_DONE and cur[2] == netsim._EV_SLOT and item[0] == cur[0]:
+                meets[0] += 1
+            heapq.heappush(heap, item)
+
         monkeypatch.setattr(netsim, "build_topology", self._uniform_topology)
         monkeypatch.setattr(netsim, "heapq",
-                            SimpleNamespace(heappush=heapq.heappush, heappop=counting_pop))
-        cfg = toy_config(node_count=32, duration=120, mean_bandwidth=800_000,
-                         block_verify_time=0.0625, tx_verify_time=0, seed=seed)
+                            SimpleNamespace(heappush=counting_push, heappop=counting_pop))
+        settings = dict(node_count=32, duration=120, mean_bandwidth=800_000,
+                        block_verify_time=0.0625, tx_verify_time=0)
+        cfg = toy_config(**{**settings, **overrides})
         m = run_simulation(cfg, collect_propagation=True)
-        assert sum(count > 1 for count in popped.values()) >= 500
         text = canonical_json(m.to_dict()) + canonical_json(m.propagation)
-        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[seed]
+        return hashlib.sha256(text.encode()).hexdigest(), popped, meets[0]
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_pinned_outcome(self, monkeypatch, seed):
+        digest, popped, _ = self._run(monkeypatch, seed=seed)
+        assert sum(count > 1 for count in popped.values()) >= 500
+        assert digest == self.DIGESTS[seed]
+
+    def test_slot_meets_held_send_done(self, monkeypatch):
+        # a producer's channel frees at the very instant of its slot: the
+        # held-back send-done is due then but pops after the slot event, so
+        # the transmission it starts takes later sequence numbers
+        digest, _, meets = self._run(monkeypatch, node_count=16, duration=60, t0=1.0, seed=7)
+        assert meets >= 10
+        assert digest == self.BUSY_DIGEST
 
 
 class TestSharedViews:
