@@ -20,6 +20,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, total_ordering
@@ -33,6 +35,21 @@ DIGEST_SIZE = 32
 DEFAULT_TX_SIZE_BITS = 1040
 
 
+def check_number(name: str, value, integral: bool, low: float, high: float = math.inf,
+                 open_low: bool = False) -> None:
+    """Raise ValueError unless ``value`` is a number (an integer if
+    ``integral``, else finite; never a bool) in [low, high], or in
+    (low, high] if ``open_low``."""
+    ok = (isinstance(value, numbers.Integral if integral else numbers.Real)
+          and not isinstance(value, bool)
+          and (integral or math.isfinite(value))
+          and (low < value if open_low else low <= value) and value <= high)
+    if not ok:
+        kind = "an integer" if integral else "a finite number"
+        bounds = f"{'(' if open_low else '['}{low}, {high}]"
+        raise ValueError(f"{name} must be {kind} in {bounds}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Protocol parameter tuple; thread_count must be a power of two."""
@@ -44,17 +61,13 @@ class ProtocolParams:
     endorsement_slots: int = 0
 
     def __post_init__(self):
+        for name in ("thread_count", "max_block_size", "finality"):
+            check_number(name, getattr(self, name), integral=True, low=1)
+        check_number("endorsement_slots", self.endorsement_slots, integral=True, low=0)
+        check_number("slot_interval", self.slot_interval, integral=False, low=0, open_low=True)
         t = self.thread_count
-        if t < 1 or (t & (t - 1)) != 0:
+        if t & (t - 1):
             raise ValueError(f"thread_count must be a power of two, got {t}")
-        if self.slot_interval <= 0:
-            raise ValueError("slot_interval must be positive")
-        if self.max_block_size <= 0:
-            raise ValueError("max_block_size must be positive")
-        if self.finality < 1:
-            raise ValueError("finality must be a positive integer")
-        if self.endorsement_slots < 0:
-            raise ValueError("endorsement_slots must be non-negative")
 
     @property
     def thread_bits(self) -> int:
@@ -72,6 +85,8 @@ class ProtocolParams:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ProtocolParams":
+        if not isinstance(d, Mapping):
+            raise ValueError(f"protocol must be a JSON object, got {d!r}")
         return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
 
 
@@ -583,26 +598,32 @@ def block_to_record(block: Block) -> dict:
 
 def record_to_block(record: Mapping) -> Block:
     """Rebuild a header-level block from a trace record (transactions stay
-    synthetic; only the count survives the trace)."""
-    block = Block(
-        slot=Slot(record["slot"]["thread"], record["slot"]["period"]),
-        creator=record["creator"],
-        parents=tuple(map(bytes.fromhex, record["parents"])),
-        endorsements=tuple(
-            Endorsement(
-                bytes.fromhex(e["endorsed_block"]),
-                Slot(e["slot"]["thread"], e["slot"]["period"]),
-                e["endorsement_index"],
-                e["creator"],
-            )
-            for e in record.get("endorsements", ())
-        ),
-        size_bits=record["size_bits"],
-        tx_count=record["tx_count"],
-    )
-    declared = record.get("id")
-    if declared is not None and bytes.fromhex(declared) != block.id:
-        raise ValueError(f"trace record id {declared[:12]} does not match content")
+    synthetic; only the count survives the trace). A record of the wrong
+    shape or types raises ValueError: computing the id encodes the block,
+    which checks every integer field's type and range."""
+    try:
+        block = Block(
+            slot=Slot(record["slot"]["thread"], record["slot"]["period"]),
+            creator=record["creator"],
+            parents=tuple(map(bytes.fromhex, record["parents"])),
+            endorsements=tuple(
+                Endorsement(
+                    bytes.fromhex(e["endorsed_block"]),
+                    Slot(e["slot"]["thread"], e["slot"]["period"]),
+                    e["endorsement_index"],
+                    e["creator"],
+                )
+                for e in record.get("endorsements", ())
+            ),
+            size_bits=record["size_bits"],
+            tx_count=record["tx_count"],
+        )
+        bid = block.id
+        declared = record.get("id")
+        if declared is not None and bytes.fromhex(declared) != bid:
+            raise ValueError(f"trace record id {declared[:12]} does not match content")
+    except (TypeError, struct.error) as e:
+        raise ValueError(f"trace record of the wrong shape ({e})") from None
     return block
 
 

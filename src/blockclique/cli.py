@@ -143,7 +143,7 @@ def cmd_simulate(args) -> int:
     try:
         cfg = _load_sim_config(args)
         cfg.tx_per_block  # validates header/block size coherence
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     manifest = RunManifest("simulate", asdict(cfg), cfg.seed, started=time.time())
@@ -268,8 +268,10 @@ def cmd_replay(args) -> int:
         try:
             with open(args.config) as fp:
                 loaded = json.load(fp)
+            if not isinstance(loaded, dict):
+                raise ValueError(f"config must be a JSON object, got {loaded!r}")
             params = ProtocolParams.from_dict(loaded.get("protocol", loaded))
-        except (OSError, ValueError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:
             print(f"config error: {e}", file=sys.stderr)
             return EXIT_CONFIG
     if args.override:
@@ -277,7 +279,7 @@ def cmd_replay(args) -> int:
             cfg = apply_overrides(SimConfig(protocol=params),
                                   _parse_overrides(args.override))
             params = cfg.protocol
-        except (ValueError, KeyError) as e:
+        except (ValueError, KeyError, OverflowError) as e:
             print(f"config error: {e}", file=sys.stderr)
             return EXIT_CONFIG
     manifest = RunManifest("replay", asdict(params), 0, started=time.time())

@@ -1,15 +1,24 @@
 """Deterministic discrete-event simulation of a random peer-to-peer network of
-consensus nodes.
+consensus nodes, in two halves that meet only in ``run_simulation``.
 
-The engine runs on a virtual clock: a priority queue of (time, sequence)
-events replaces wall-clock execution, so identical configurations yield
-bit-identical metrics. Per slot, the selected producer (unless it misses)
-builds a full synthetic block on its local best parents and relays it;
-deliveries queue on the sender's sequential upload channel, then cost
-size/bandwidth plus the edge latency. Receivers pay a verification delay
-before updating their consensus state and forwarding. Verification is modeled
-as a time cost only; blocks are honest by construction and are not
-re-validated at every node.
+``network_schedule`` is the network half, on a virtual clock (a priority
+queue of (time, sequence) events, so identical configurations give
+bit-identical runs). Per slot, the selected producer (unless it misses)
+creates a full synthetic block and relays it; a copy queues on the sender's
+sequential upload channel, then costs size/bandwidth plus the link latency,
+and its receiver pays a verification delay (time only) before processing
+and relaying it. The schedule yields each processing step, numbering blocks
+densely in creation order, and reads no block id, header or consensus state.
+``run_simulation`` is the consensus half: it builds each block on its
+producer's best parents and feeds every step to that node's handle.
+
+The schedule cannot depend on consensus: every (time, sequence) key is
+unique, so no event's payload is compared; slot times are fixed, and
+producers and misses come from the seed; every block is full and costs the
+same to verify; and a node relays a block before consensus processes it. A
+withholding attacker would break this, as its release times depend on its
+own consensus state: an attacked run will need the schedule to take release
+events back from the driver.
 
 A node's consensus state needs a block's parents before the block itself, and
 the event order guarantees it without any out-of-order buffer: each upload
@@ -28,13 +37,11 @@ empty, else when a relay queues there before the send-done's key; after it,
 the channel is free, as the send-done would have popped with nothing to
 send. So every event with an effect keeps its (time, sequence) key.
 
-Headers and their direct conflicts are facts every node agrees on: a run
-keeps one ``DagIndex``, filled as blocks are created, that every node's
-consensus state reads, so a block's direct conflicts are computed once. Each
-node's state is a handle, called once per block it processes; nodes that
-have processed the same conflict-free set share one consensus view of it
-(``consensus`` module docstring), so in an honest run most calls adopt a view
-another node has already computed.
+Headers and their direct conflicts are facts every node agrees on: the
+run's one ``DagIndex`` holds them, so a block's direct conflicts are computed
+once. Each node's consensus state is a handle; nodes that have processed the
+same conflict-free set share one view of it (``consensus`` module
+docstring), so in an honest run most calls adopt a view already computed.
 """
 
 from __future__ import annotations
@@ -50,7 +57,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .chain import Block, Endorsement, HeaderMeta, ProtocolParams, Slot, slot_timestamp
+from .chain import (Block, Endorsement, HeaderMeta, ProtocolParams, Slot, check_number,
+                    slot_timestamp)
 from .consensus import CompatibilityState, DagIndex
 from .errors import TopologyError
 from .selection import SelectionOracle
@@ -81,6 +89,21 @@ class SimConfig:
     seed: int = 0
     endorsements_enabled: bool = False
 
+    def __post_init__(self):
+        for name, low in (("node_count", 1), ("header_size", 0), ("tx_size", 1),
+                          ("seed", -math.inf)):
+            check_number(name, getattr(self, name), integral=True, low=low)
+        check_number("mean_bandwidth", self.mean_bandwidth, integral=False, low=0, open_low=True)
+        check_number("miss_rate", self.miss_rate, integral=False, low=0, high=1)
+        # a negative delay would void the parent-first argument (module docstring)
+        for name in ("mean_latency", "block_verify_time", "tx_verify_time", "duration"):
+            check_number(name, getattr(self, name), integral=False, low=0)
+        if not isinstance(self.protocol, ProtocolParams):
+            raise ValueError(f"protocol must be ProtocolParams, got {self.protocol!r}")
+        if not isinstance(self.endorsements_enabled, bool):
+            raise ValueError(f"endorsements_enabled must be a bool, "
+                             f"got {self.endorsements_enabled!r}")
+
     @property
     def tx_per_block(self) -> int:
         """Transactions fitting in a full block beside the header (and the
@@ -100,27 +123,18 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SimConfig":
+        if not isinstance(d, Mapping):
+            raise ValueError(f"config must be a JSON object, got {d!r}")
         kwargs = {k: d[k] for k in cls.__dataclass_fields__ if k in d and k != "protocol"}
         if "protocol" in d:
             kwargs["protocol"] = ProtocolParams.from_dict(d["protocol"])
         return cls(**kwargs)
 
 
-_OVERRIDE_ALIASES = {
-    "N": "node_count",
-    "B": "mean_bandwidth",
-    "L": "mean_latency",
-    "mu": "miss_rate",
-    "S_H": "header_size",
-    "S_tx": "tx_size",
-}
-_PROTOCOL_ALIASES = {
-    "T": "thread_count",
-    "t0": "slot_interval",
-    "S_B": "max_block_size",
-    "F": "finality",
-    "E": "endorsement_slots",
-}
+_OVERRIDE_ALIASES = {"N": "node_count", "B": "mean_bandwidth", "L": "mean_latency",
+                     "mu": "miss_rate", "S_H": "header_size", "S_tx": "tx_size"}
+_PROTOCOL_ALIASES = {"T": "thread_count", "t0": "slot_interval", "S_B": "max_block_size",
+                     "F": "finality", "E": "endorsement_slots"}
 
 
 def apply_overrides(cfg: SimConfig, overrides: Mapping[str, str]) -> SimConfig:
@@ -267,94 +281,75 @@ class SimMetrics:
                 if k not in ("block_records", "propagation")}
 
 
-def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
-                   collect_propagation: bool = False) -> SimMetrics:
-    """Run the full network simulation and measure it.
+@dataclass
+class NetworkStats:
+    """The network half's measures: per block, by number, its creation time,
+    when half the nodes held it and, if ``arrivals`` starts as a list, every
+    (node, arrival time); then the run's totals."""
 
-    ``collect_blocks`` attaches one record per measured block;
-    ``collect_propagation`` additionally attaches every (node, arrival time)
-    pair per block for offline plotting.
-    """
+    created: list[float] = field(default_factory=list)
+    half_at: list[Optional[float]] = field(default_factory=list)
+    arrivals: Optional[list[list[tuple[int, float]]]] = None
+    slots_scheduled: int = 0
+    slots_missed: int = 0
+    transmissions: int = 0
+    max_lag: float = 0.0
+
+
+def network_schedule(cfg: SimConfig, net: Optional[NetworkStats] = None):
+    """Yield every processing step of a run in event order, as (time, node,
+    block number, slot where the node creates the block, else None), and
+    record the run's measurements in ``net`` (module docstring)."""
+    net = NetworkStats() if net is None else net
     params = cfg.protocol
     topo = build_topology(cfg)
     oracle = SelectionOracle(_derive_seed(cfg.seed, "blockclique.sim.selection"),
                              cfg.node_count)
     miss_seed = _derive_seed(cfg.seed, "blockclique.sim.miss")
     n = cfg.node_count
-    index = DagIndex()
-    headers = index.headers
-    states = [CompatibilityState(params, index=index) for _ in range(n)]
     send_queue: list[deque] = [deque() for _ in range(n)]
     half_needed = math.ceil(n / 2)
-    prop: Optional[dict[bytes, list]] = {} if collect_propagation else None
     # bound at call time: a tracer may swap this module's ``heapq``
     heappush, heappop = heapq.heappush, heapq.heappop
 
-    created_at: dict[bytes, float] = {}
-    holders: dict[bytes, int] = {}
-    have: dict[bytes, bytearray] = {}     # per block some node lacks, who holds it
-    half_at: dict[bytes, float] = {}
-    settle: dict[bytes, tuple[str, float]] = {}   # at the creating node
+    created, half_at, arrivals = net.created, net.half_at, net.arrivals
+    holders: list[int] = []
+    have: list[Optional[bytearray]] = []    # per block some node lacks, who holds it
     max_lag = 0.0
-    max_cliques = 1
     slots_missed = 0
     transmissions = 0
 
     wire_extra = params.endorsement_slots * cfg.tx_size if cfg.endorsements_enabled else 0
-    # every simulated block is full
-    wire_bits = params.max_block_size + wire_extra
+    wire_bits = params.max_block_size + wire_extra    # every simulated block is full
     send_time = [wire_bits / b for b in topo.bandwidths]
     links = [list(peer_lat.items()) for peer_lat in topo.peer_latency]    # in ``peers`` order
     # per sender, the send-done entry held back for the transmission on its
     # channel, None once it is in the heap, or _FREE
     held: list = [_FREE] * n
-    tx_count = cfg.tx_per_block
-    verify_cost = cfg.block_verify_time + tx_count * cfg.tx_verify_time
+    verify_cost = cfg.block_verify_time + cfg.tx_per_block * cfg.tx_verify_time
 
     heap: list[tuple] = []
     seq = 0
-    n_periods = int(cfg.duration / params.slot_interval)
-    slots_scheduled = 0
-    for period in range(1, n_periods + 1):
+    for period in range(1, int(cfg.duration / params.slot_interval) + 1):
         for tau in range(params.thread_count):
             slot = Slot(tau, period)
             ts = slot_timestamp(slot, params)
             if ts <= cfg.duration:
                 heappush(heap, (ts, seq, _EV_SLOT, slot, None))
                 seq += 1
-                slots_scheduled += 1
-
-    def relay(sender: int, block_id: bytes, now: float, cur: int) -> None:
-        """At event (now, cur), queue a block for each link peer missing it on
-        the sender's upload channel, then start the channel or push its
-        held-back send-done (module docstring)."""
-        flags = have.get(block_id)
-        if flags is None:
-            return
-        q = send_queue[sender]
-        for dst, lat in links[sender]:
-            if not flags[dst]:
-                q.append((dst, lat, block_id, flags))
-        entry = held[sender]
-        if not q or entry is None:
-            return
-        if entry < (now, cur):
-            start_send(sender, now)
-        else:
-            heappush(heap, entry)
-            held[sender] = None
+    net.slots_scheduled = seq
 
     def start_send(sender: int, now: float) -> None:
         nonlocal seq, transmissions
         q = send_queue[sender]
         while q:
-            dst, lat, bid, flags = q.popleft()
+            dst, lat, k, flags = q.popleft()
             if flags[dst]:
                 continue
             done = now + send_time[sender]
             transmissions += 1
             entry = (done, seq, _EV_SEND_DONE, sender, None)
-            heappush(heap, (done + lat, seq + 1, _EV_ARRIVE, dst, bid))
+            heappush(heap, (done + lat, seq + 1, _EV_ARRIVE, dst, k))
             seq += 2
             if q:
                 heappush(heap, entry)
@@ -363,14 +358,100 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
             return
         held[sender] = _FREE
 
-    def process(node_idx: int, block_id: bytes, now: float, cur: int) -> None:
-        nonlocal max_lag, max_cliques
-        lag = now - created_at[block_id]
-        if lag > max_lag:
-            max_lag = lag
-        relay(node_idx, block_id, now, cur)
-        state = states[node_idx]
-        state.extend_meta(headers[block_id])
+    while heap:
+        now, cur, kind, a, k = heappop(heap)
+        if now > cfg.duration:
+            break
+        if kind == _EV_ARRIVE:
+            flags = have[k]
+            if flags is None or flags[a]:
+                continue
+            flags[a] = 1
+            count = holders[k] + 1
+            holders[k] = count
+            if count == half_needed:
+                half_at[k] = now
+            if count == n:
+                have[k] = None
+            if arrivals is not None:
+                arrivals[k].append((a, now))
+            heappush(heap, (now + verify_cost, seq, _EV_PROCESS, a, k))
+            seq += 1
+            continue
+        if kind == _EV_SEND_DONE:
+            start_send(a, now)
+            continue
+        if kind == _EV_PROCESS:
+            node, slot = a, None
+            lag = now - created[k]
+            if lag > max_lag:
+                max_lag = lag
+        else:
+            slot = a
+            if cfg.miss_rate > 0.0 and _miss_draw(miss_seed, slot, 0) < cfg.miss_rate:
+                slots_missed += 1
+                continue
+            node = oracle.draw_block_producer(slot)
+            k = len(created)
+            created.append(now)
+            holders.append(1)
+            have.append(bytearray(n))
+            have[k][node] = 1
+            half_at.append(now if half_needed <= 1 else None)
+            if arrivals is not None:
+                arrivals.append([(node, now)])
+        # relay: queue the block for each link peer missing it (module docstring)
+        flags = have[k]
+        if flags is not None:
+            q = send_queue[node]
+            for dst, lat in links[node]:
+                if not flags[dst]:
+                    q.append((dst, lat, k, flags))
+            entry = held[node]
+            if q and entry is not None:
+                if entry < (now, cur):
+                    start_send(node, now)
+                else:
+                    heappush(heap, entry)
+                    held[node] = None
+        yield now, node, k, slot
+    net.slots_missed, net.transmissions, net.max_lag = slots_missed, transmissions, max_lag
+
+
+def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
+                   collect_propagation: bool = False) -> SimMetrics:
+    """Run the full network simulation and measure it, driving every node's
+    consensus handle over ``network_schedule(cfg)``. ``collect_blocks``
+    attaches one record per measured block; ``collect_propagation`` attaches
+    every (node, arrival time) pair per block for offline plotting."""
+    params = cfg.protocol
+    index = DagIndex()
+    headers = index.headers
+    states = [CompatibilityState(params, index=index) for _ in range(cfg.node_count)]
+    endorsing = cfg.endorsements_enabled and params.endorsement_slots
+    oracle = SelectionOracle(_derive_seed(cfg.seed, "blockclique.sim.selection"), cfg.node_count)
+    miss_seed = _derive_seed(cfg.seed, "blockclique.sim.miss")
+    tx_count = cfg.tx_per_block
+    metas: list[HeaderMeta] = []    # by block number
+    settle: dict[bytes, tuple[str, float]] = {}   # at the creating node
+    max_cliques = 1
+
+    net = NetworkStats(arrivals=[] if collect_propagation else None)
+    for now, node, k, slot in network_schedule(cfg, net):
+        state = states[node]
+        if slot is not None:
+            parents = tuple(state.best_parents())
+            endorsers = oracle.draw_endorsers(slot, params.endorsement_slots) if endorsing else ()
+            endorsements = tuple(
+                Endorsement(parents[slot.thread], slot, i, endorser)
+                for i, endorser in enumerate(endorsers)
+                if cfg.miss_rate == 0.0 or _miss_draw(miss_seed, slot, i + 1) >= cfg.miss_rate)
+            block = Block(slot=slot, creator=node, parents=parents,
+                          endorsements=endorsements, size_bits=params.max_block_size,
+                          tx_count=tx_count)
+            metas.append(HeaderMeta.from_block(block))
+            index.add(metas[k])
+        state.extend_meta(metas[k])
         final, stale = state.update_finality()
         cliques = len(state.maximal_cliques())
         if cliques > max_cliques:
@@ -378,90 +459,20 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
         for verdict, settled in (("final", final), ("stale", stale)):
             for bid in settled:
                 meta = headers[bid]
-                if meta.creator == node_idx and not meta.is_genesis and bid not in settle:
+                if meta.creator == node and not meta.is_genesis and bid not in settle:
                     settle[bid] = (verdict, now)
-
-    while heap:
-        now, cur, kind, a, b = heappop(heap)
-        if now > cfg.duration:
-            break
-        if kind == _EV_ARRIVE:
-            flags = have.get(b)
-            if flags is None or flags[a]:
-                continue
-            flags[a] = 1
-            count = holders[b] + 1
-            holders[b] = count
-            if count == half_needed:
-                half_at[b] = now
-            if count == n:
-                del have[b]
-            if prop is not None:
-                prop[b].append((a, now))
-            heappush(heap, (now + verify_cost, seq, _EV_PROCESS, a, b))
-            seq += 1
-        elif kind == _EV_SEND_DONE:
-            start_send(a, now)
-        elif kind == _EV_PROCESS:
-            process(a, b, now, cur)
-        else:
-            slot = a
-            if cfg.miss_rate > 0.0 and _miss_draw(miss_seed, slot, 0) < cfg.miss_rate:
-                slots_missed += 1
-                continue
-            producer = oracle.draw_block_producer(slot)
-            parents = tuple(states[producer].best_parents())
-            endorsements = ()
-            if cfg.endorsements_enabled and params.endorsement_slots:
-                picked = []
-                for i, endorser in enumerate(
-                        oracle.draw_endorsers(slot, params.endorsement_slots)):
-                    if cfg.miss_rate > 0.0 and _miss_draw(miss_seed, slot, i + 1) < cfg.miss_rate:
-                        continue
-                    picked.append(Endorsement(parents[slot.thread], slot, i, endorser))
-                endorsements = tuple(picked)
-            block = Block(slot=slot, creator=producer, parents=parents,
-                          endorsements=endorsements, size_bits=params.max_block_size,
-                          tx_count=tx_count)
-            bid = block.id
-            index.add(HeaderMeta.from_block(block))
-            created_at[bid] = now
-            holders[bid] = 1
-            have[bid] = flags = bytearray(n)
-            flags[producer] = 1
-            if half_needed <= 1:
-                half_at[bid] = now
-            if prop is not None:
-                prop[bid] = [(producer, now)]
-            process(producer, bid, now, cur)
 
     # -- measurements over blocks created after the warm-up -------------------
     warmup = cfg.warmup
-    scope = [bid for bid, t in created_at.items() if t >= warmup]
-    produced = len(scope)
-    finals = stales = 0
-    conf_times: list[float] = []
-    half_times: list[float] = []
-    records = [] if collect_blocks else None
-    for bid in scope:
-        verdict, when = settle.get(bid, (None, None))
-        if verdict == "final":
-            finals += 1
-            conf_times.append(when - created_at[bid])
-        elif verdict == "stale":
-            stales += 1
-        if bid in half_at:
-            half_times.append(half_at[bid] - created_at[bid])
-        if records is not None:
-            records.append({
-                "id": bid.hex(),
-                "thread": headers[bid].thread,
-                "period": headers[bid].period,
-                "created": created_at[bid],
-                "half_propagation": half_at[bid] - created_at[bid] if bid in half_at else None,
-                "settled": when,
-                "status": verdict or "active",
-            })
+    created, half_at = net.created, net.half_at
+    scope = [k for k, t in enumerate(created) if t >= warmup]
+    verdicts = [settle.get(metas[k].id, (None, None)) for k in scope]
+    conf_times = [when - created[k] for k, (verdict, when) in zip(scope, verdicts)
+                  if verdict == "final"]
+    halves = [None if half_at[k] is None else half_at[k] - created[k] for k in scope]
+    half_times = [h for h in halves if h is not None]
+    produced, finals = len(scope), len(conf_times)
+    stales = sum(verdict == "stale" for verdict, _ in verdicts)
     span = cfg.duration - warmup
     metrics = SimMetrics(
         throughput=finals * tx_count / span if span > 0 else 0.0,
@@ -472,20 +483,22 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
         blocks_final=finals,
         blocks_stale=stales,
         blocks_active=produced - finals - stales,
-        slots_scheduled=slots_scheduled,
-        slots_missed=slots_missed,
+        slots_scheduled=net.slots_scheduled,
+        slots_missed=net.slots_missed,
         tx_per_block=tx_count,
         warmup=warmup,
-        max_processing_lag=max_lag,
+        max_processing_lag=net.max_lag,
         max_clique_count=max_cliques,
-        transmissions=transmissions,
+        transmissions=net.transmissions,
     )
     if collect_blocks:
-        metrics.block_records = records
-    if prop is not None:
-        metrics.propagation = [
-            {"id": bid.hex(), "created": created_at[bid],
-             "arrivals": [[n, t] for n, t in prop[bid]]}
-            for bid in scope
-        ]
+        metrics.block_records = [
+            {"id": metas[k].id.hex(), "thread": metas[k].thread, "period": metas[k].period,
+             "created": created[k], "half_propagation": half, "settled": when,
+             "status": verdict or "active"}
+            for k, half, (verdict, when) in zip(scope, halves, verdicts)]
+    if collect_propagation:
+        metrics.propagation = [{"id": metas[k].id.hex(), "created": created[k],
+                                "arrivals": [[u, t] for u, t in net.arrivals[k]]}
+                               for k in scope]
     return metrics

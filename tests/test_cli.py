@@ -70,6 +70,20 @@ class TestSimulateCommand:
         assert run(["simulate", "--override", "nonsense=1",
                     "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("override", ["B=0", "S_tx=0", "L=-1", "B=-5",
+                                          "block_verify_time=-1", "mu=nan"])
+    def test_bad_value_exit_2(self, tmp_path, capsys, override):
+        assert run(["simulate", "--config", "configs/toy.json", "--override", override,
+                    "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [[1, 2], {"node_count": "abc"}])
+    def test_bad_config_file_exit_2(self, tmp_path, capsys, config):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        assert run(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestAttackCommand:
     def test_reference_point(self, capsys):
@@ -218,6 +232,32 @@ class TestReplayCommand:
         trace = tmp_path / "junk.jsonl"
         trace.write_text("this is not json\n")
         assert run(["replay", "--trace", str(trace)]) == 2
+
+    @pytest.mark.parametrize("record", [
+        '{"slot": 5}',
+        '[1]',
+        '"x"',
+        '{"slot": {"thread": 0, "period": 1}, "creator": 0, "parents": [1], '
+        '"size_bits": 0, "tx_count": 0}',
+        '{"slot": {"thread": 0, "period": 1}, "creator": -1, "parents": [], '
+        '"size_bits": 0, "tx_count": 0}',
+        '{"slot": {"thread": 0, "period": 1}, "creator": 0, "parents": [], '
+        '"size_bits": 1e3, "tx_count": 0}',
+    ])
+    def test_record_of_wrong_json_type_exit_2(self, tmp_path, capsys, record):
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text(record + "\n")
+        assert run(["replay", "--trace", str(trace)]) == 2
+        assert "malformed trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [[1, 2], {"protocol": {"thread_count": "32"}}])
+    def test_bad_config_file_exit_2(self, tmp_path, capsys, config):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        trace = tmp_path / "empty.jsonl"
+        trace.write_text("")
+        assert run(["replay", "--config", str(bad), "--trace", str(trace)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_structural_violation_exit_4(self, tmp_path, capsys):
         p = ProtocolParams(thread_count=2, slot_interval=4.0, max_block_size=1000,

@@ -15,7 +15,9 @@ from blockclique.consensus import CompatibilityState
 from blockclique.errors import TopologyError
 from blockclique import netsim
 from blockclique.netsim import (NetworkTopology, SimConfig, apply_overrides, build_topology,
-                                run_simulation)
+                                network_schedule, run_simulation)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def toy_config(**kw):
@@ -55,6 +57,24 @@ class TestConfig:
     def test_unknown_override_rejected(self):
         with pytest.raises(KeyError):
             apply_overrides(SimConfig(), {"bogus": "1"})
+
+    @pytest.mark.parametrize("field, value", [
+        ("node_count", 0), ("node_count", "abc"), ("node_count", 8.0), ("node_count", True),
+        ("mean_bandwidth", 0.0), ("mean_bandwidth", -5.0), ("mean_bandwidth", math.inf),
+        ("mean_latency", -1.0), ("miss_rate", math.nan), ("miss_rate", 1.5),
+        ("tx_size", 0), ("header_size", -1), ("block_verify_time", -1.0),
+        ("tx_verify_time", -1e-6), ("duration", -1.0), ("seed", 1.5),
+        ("endorsements_enabled", "yes"), ("protocol", {"thread_count": 2}),
+    ])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(toy_config(), **{field: value})
+
+    @pytest.mark.parametrize("data", [[1, 2], "x", {"protocol": [1]},
+                                      {"protocol": {"thread_count": "32"}}])
+    def test_from_dict_rejects_wrong_json(self, data):
+        with pytest.raises(ValueError):
+            SimConfig.from_dict(data)
 
 
 class TestTopology:
@@ -172,6 +192,88 @@ class TestSimulation:
         slot_gap = p.slot_interval / p.thread_count
         assert m.confirmation_time is not None
         assert horizon <= m.confirmation_time < horizon + slot_gap + 10 * (m.t_half + 0.2)
+
+
+class TestConsensusFreeSchedule:
+    """Which node processes which block, and when, does not depend on
+    consensus: the (time, node, block number) of every handle call that
+    ``run_simulation`` makes equals ``network_schedule(cfg)`` drained alone,
+    at F=64 and at F=8, which change settlement, staling and the cliques
+    kept (on these runs not the parents: the best clique is the same). A
+    call's time is that of the event popped last, the step's own event; a
+    block's number is the order of its first ``extend_meta`` call, which is
+    its creator's at its creation."""
+
+    @staticmethod
+    def _logged_run(monkeypatch, cfg):
+        nodes: dict = {}
+        numbers: dict = {}
+        now = [None]
+        log: dict = {"extend_meta": [], "update_finality": [], "maximal_cliques": [],
+                     "best_parents": []}
+
+        def timed_pop(heap):
+            item = heapq.heappop(heap)
+            now[0] = item[0]
+            return item
+
+        def logged(name, orig):
+            def call(st, *args):
+                entry = (now[0], nodes[st])
+                if args:
+                    entry += (numbers.setdefault(args[0].id, len(numbers)),)
+                log[name].append(entry)
+                return orig(st, *args)
+            return call
+
+        init = CompatibilityState.__init__
+
+        def logged_init(st, *args, **kwargs):
+            init(st, *args, **kwargs)
+            nodes[st] = len(nodes)
+
+        monkeypatch.setattr(CompatibilityState, "__init__", logged_init)
+        for name in log:
+            monkeypatch.setattr(CompatibilityState, name,
+                                logged(name, getattr(CompatibilityState, name)))
+        monkeypatch.setattr(netsim, "heapq",
+                            SimpleNamespace(heappush=heapq.heappush, heappop=timed_pop))
+        m = run_simulation(cfg, collect_blocks=True)
+        monkeypatch.undo()
+        return log, len(numbers), m
+
+    def _check(self, monkeypatch, overrides):
+        desk = SimConfig.from_dict(json.loads((CONFIGS / "throughput_12mbps_desk.json").read_text()))
+        base = apply_overrides(desk, {"duration": "600", **overrides})
+        schedule = list(network_schedule(base))
+        steps = [(t, node, k) for t, node, k, _ in schedule]
+        creations = [(t, node) for t, node, _, slot in schedule if slot is not None]
+        runs = []
+        for f in ("64", "8"):
+            log, blocks, m = self._logged_run(monkeypatch, apply_overrides(base, {"F": f}))
+            assert log["extend_meta"] == steps
+            assert log["update_finality"] == log["maximal_cliques"] == [step[:2] for step in steps]
+            assert log["best_parents"] == creations
+            assert blocks == len(creations) == m.slots_scheduled - m.slots_missed
+            runs.append(m)
+        m64, m8 = runs
+        assert (m64.transmissions, m64.max_processing_lag) == (m8.transmissions, m8.max_processing_lag)
+        # F=64's longer warm-up measures a suffix of F=8's blocks, with the
+        # same creation and half-propagation times
+        late = m8.block_records[len(m8.block_records) - len(m64.block_records):]
+        assert [(r["created"], r["half_propagation"]) for r in m64.block_records] == \
+            [(r["created"], r["half_propagation"]) for r in late]
+        return m64, m8
+
+    def test_desk(self, monkeypatch):
+        m64, m8 = self._check(monkeypatch, {})
+        assert (m64.max_clique_count, m8.max_clique_count) == (1, 1)
+        assert m64.confirmation_time > m8.confirmation_time
+
+    def test_forked(self, monkeypatch):
+        m64, m8 = self._check(monkeypatch, {"T": "4", "C_B": "12000000"})
+        assert m64.max_clique_count > m8.max_clique_count > 1
+        assert m8.blocks_stale > 0
 
 
 class TestForkingRun:
