@@ -18,7 +18,7 @@ producers and misses come from the seed; every block is full and costs the
 same to verify; and a node relays a block before consensus processes it. A
 withholding attacker would break this, as its release times depend on its
 own consensus state: an attacked run will need the schedule to take release
-events back from the driver.
+events back from ``run_simulation``.
 
 A node's consensus state needs a block's parents before the block itself, and
 the event order guarantees it without any out-of-order buffer: each upload
