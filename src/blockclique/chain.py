@@ -50,6 +50,15 @@ def check_number(name: str, value, integral: bool, low: float, high: float = mat
         raise ValueError(f"{name} must be {kind} in {bounds}, got {value!r}")
 
 
+def field_values(cls, d, what: str) -> dict:
+    """``d`` as keyword arguments of the dataclass ``cls``, every key a field."""
+    if not isinstance(d, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
+    if unknown := [k for k in d if k not in cls.__dataclass_fields__]:
+        raise ValueError(f"unknown {what} keys: {', '.join(map(repr, unknown))}")
+    return dict(d)
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Protocol parameter tuple; thread_count must be a power of two."""
@@ -85,9 +94,7 @@ class ProtocolParams:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ProtocolParams":
-        if not isinstance(d, Mapping):
-            raise ValueError(f"protocol must be a JSON object, got {d!r}")
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
+        return cls(**field_values(cls, d, "protocol"))
 
 
 @total_ordering
@@ -288,9 +295,11 @@ class HeaderMeta:
     ``covers`` may compare headers by identity. A header built from its
     parents' stored headers names them by those headers' own id objects, so
     a block store's ids are interned: one object per block, which the map's
-    key, ``id`` and every child's ``parents`` and ``own_parent`` share."""
+    key, ``id`` and every child's ``parents`` and ``own_parent`` share.
+    ``num`` is the id as a big-endian integer, computed once."""
 
     id: bytes
+    num: int
     thread: int
     period: int
     creator: int
@@ -307,8 +316,8 @@ class HeaderMeta:
         stored header's id object rather than the block's copy."""
         ids = block.parents if parents is None else tuple([parent.id for parent in parents])
         own = ids[block.thread] if ids else None
-        return cls(block.id, block.thread, block.slot.period, block.creator, ids,
-                   own, fitness(block), block.is_genesis)
+        return cls(block.id, int.from_bytes(block.id, "big"), block.thread, block.slot.period,
+                   block.creator, ids, own, fitness(block), block.is_genesis)
 
 
 def covers(headers: Mapping[bytes, HeaderMeta], anc: HeaderMeta, tip: HeaderMeta) -> bool:

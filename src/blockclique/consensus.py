@@ -81,12 +81,12 @@ The ``DagIndex`` publishes views under a key of the processed set S: its size
 times 2^256 plus the XOR of its blocks' 256-bit ids, a Zobrist-style hash
 (Zobrist, "A New Hashing Method with Application for Game Playing", 1970), in
 one integer. Ids are SHA-256 digests, so two sets of one size share a key with
-probability 2^-256. A handle extending S by one block adopts the view
-published under the key of the grown set, if there is one; otherwise it
-extends its own view in place when no other handle holds it, and a copy when
-one does. Only a *clean* view is published: settled (``update_finality`` ran
-after its last admission), with no edge and no stale block. Sharing is exact
-because:
+probability 2^-256. A handle extending S by one block first looks up the key
+of the grown set and adopts the view published under it, if there is one;
+otherwise it extends its own view in place when no other handle holds it, and
+a copy when one does. Only a *clean* view is published: settled
+(``update_finality`` ran after its last admission), with no edge and no stale
+block. Sharing is exact because:
 
 - Cleanliness is a property of S alone. Every edge and every stale block
   stems from a direct conflict between two processed blocks: an edge joins
@@ -108,6 +108,10 @@ because:
   handle's own order. ``update_finality`` then returns the blocks finalized
   since the handle last asked, each thread's chain from the new final tip
   down to the old one (below). An adoption stales nothing.
+- A hit shows the block b unprocessed, so an adoption, most steps of an
+  honest run, is a lookup and a holder swap with no status check: were b in
+  S, the published set would share its XOR with S minus b while being a
+  different set, the 2^-256 collision that the key already assumes.
 
 A view keeps its finals only as per-thread final tips. No two finals conflict,
 so none share an own parent, and a final's own parent is final: each thread's
@@ -328,7 +332,7 @@ class ConsensusView:
         # per thread, the header of its final tip, the last block finalized
         # there; replaced, never changed, so a handle can keep an old one
         self._latest_final: tuple[Optional[HeaderMeta], ...] = (None,) * params.thread_count
-        self._finals_memo: tuple = (None, None, [])
+        self._finals_memo: tuple = (None, {})
         self.stale_set: set[bytes] = set()
         self._total_fitness = 0
         self._cliques: Optional[list[tuple[frozenset, int]]] = None
@@ -360,7 +364,7 @@ class ConsensusView:
     @property
     def final_set(self) -> set[bytes]:
         """The final blocks: each thread's chain below its final tip."""
-        return set(self.finals_since((None,) * self.params.thread_count))
+        return set(self._walk_finals((None,) * self.params.thread_count))
 
     def processed(self) -> list[bytes]:
         return [*self.active, *self.final_set, *self.stale_set]
@@ -489,7 +493,7 @@ class ConsensusView:
             twin = next((p for p in meta.parents if len(incompat.get(p, ())) == size), None)
             if twin is None:
                 return
-        bid, fit, num = meta.id, meta.fitness, int.from_bytes(meta.id, "big")
+        bid, fit, num = meta.id, meta.fitness, meta.num
         self._rank((members | {bid}, f + fit, s + num) if twin is None or twin in members
                    else (members, f, s) for (members, f), s in zip(cliques, self._id_sums))
 
@@ -551,7 +555,7 @@ class ConsensusView:
         """(members, fitness, id sum) of each maximal clique, enumerated."""
         active = self.active
         for members in self._enumerate_cliques():
-            yield members, sum(active[m].fitness for m in members), _id_sum(members)
+            yield (members, *_weigh(active, members))
 
     def _rank(self, scored: Iterable[tuple[frozenset, int, int]]) -> None:
         """Cache the cliques scored as (members, fitness, id sum), ranked."""
@@ -673,8 +677,7 @@ class ConsensusView:
             else:
                 # finals have no edge, so they leave every clique
                 gone = frozenset(newly_final)
-                fit = sum(self.headers[bid].fitness for bid in gone)
-                num = _id_sum(gone)
+                fit, num = _weigh(self.headers, gone)
                 self._rank((members - gone, f - fit, s - num)
                            for (members, f), s in zip(cliques, self._id_sums))
 
@@ -682,25 +685,29 @@ class ConsensusView:
 
     def finals_since(self, before: tuple) -> list[bytes]:
         """The blocks finalized since the per-thread final tips were
-        ``before``, in slot order: each thread's finals form one own-parent
-        chain from its genesis (module docstring), walked down from the tip.
-        The last answer is kept, keyed by the identity of both tip tuples, as
-        the handles adopting a view mostly arrive from one view."""
-        latest = self._latest_final
-        last_before, last_latest, out = self._finals_memo
-        if before is not last_before or latest is not last_latest:
-            out = []
-            headers = self.headers
-            for tau in compress(range(len(latest)), map(ne, before, latest)):
-                stop = before[tau] and before[tau].id
-                bid = latest[tau].id
-                while bid != stop:
-                    out.append(bid)
-                    bid = headers[bid].own_parent
-            if len(out) > 1:
-                out = _slot_order(headers, out)
-            self._finals_memo = (before, latest, out)
-        return list(out)
+        ``before``, in slot order, kept until the view's own tips change per
+        ``before`` tuple, keyed by its identity and holding it lest that be
+        reused: the handles adopting a view arrive from a few earlier ones."""
+        latest, answers = self._finals_memo
+        if latest is not self._latest_final:
+            latest, answers = self._finals_memo = (self._latest_final, {})
+        kept = answers.get(id(before))
+        if kept is None:
+            kept = answers[id(before)] = (before, self._walk_finals(before))
+        return list(kept[1])
+
+    def _walk_finals(self, before: tuple) -> list[bytes]:
+        """``finals_since`` unkept: each thread's finals form one own-parent
+        chain from its genesis (module docstring), walked down from the tip."""
+        latest, headers = self._latest_final, self.headers
+        out = []
+        for tau in compress(range(len(latest)), map(ne, before, latest)):
+            stop = before[tau] and before[tau].id
+            bid = latest[tau].id
+            while bid != stop:
+                out.append(bid)
+                bid = headers[bid].own_parent
+        return _slot_order(headers, out) if len(out) > 1 else out
 
     def _remove(self, bid: bytes, stale: bool) -> None:
         """Settle an active block. A final block's parents finalize in the
@@ -903,23 +910,23 @@ class CompatibilityState:
         The header is trusted to be ancestor-consistent (module docstring).
         Adopts the view published for the grown set if there is one, else
         grows its own view, copied first if another handle holds it."""
-        view, bid = self.view, meta.id
+        view = self.view
         self._adopted = False
-        status = view.status(bid)
-        if status is not None:
-            return status
-        key = (view.key + _ONE_BLOCK) ^ int.from_bytes(bid, "big")
+        key = (view.key + _ONE_BLOCK) ^ meta.num
         ref = self.index.views.get(key)
         shared = ref and ref()
         if shared is not None:
-            # the set is clean and the block has no descendant in it, so it
-            # is active there
+            # the block was unprocessed (module docstring), the set is clean
+            # and the block has no descendant in it, so it is active there
             shared.holders += 1
             view.holders -= 1
             if not view.holders:
                 self.index.unpublish(view)
             self.view, self._adopted = shared, True
             return STATUS_ACTIVE
+        status = view.status(meta.id)
+        if status is not None:
+            return status
         if view.holders > 1:
             view.holders -= 1
             view = self.view = view.copy()
@@ -943,6 +950,8 @@ class CompatibilityState:
         a clean view is published once settled."""
         view = self.view
         if self._adopted or self.index.published(view):
+            if view._latest_final is self._tips:
+                return [], []
             stale = []
         else:
             stale = view.update_finality()
@@ -978,11 +987,13 @@ def _slot_order(headers: dict[bytes, HeaderMeta], ids: Iterable[bytes]) -> list[
     return sorted(ids, key=lambda bid: (headers[bid].period, headers[bid].thread, bid))
 
 
-def _id_sum(members: Iterable[bytes]) -> int:
-    total = 0
+def _weigh(headers: dict[bytes, HeaderMeta], members: Iterable[bytes]) -> tuple[int, int]:
+    fit = num = 0
     for m in members:
-        total += int.from_bytes(m, "big")
-    return total
+        meta = headers[m]
+        fit += meta.fitness
+        num += meta.num
+    return fit, num
 
 
 class _Lexical:

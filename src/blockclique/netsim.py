@@ -58,7 +58,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .chain import (Block, Endorsement, HeaderMeta, ProtocolParams, Slot, check_number,
-                    slot_timestamp)
+                    field_values, slot_timestamp)
 from .consensus import CompatibilityState, DagIndex
 from .errors import TopologyError
 from .selection import SelectionOracle
@@ -123,11 +123,9 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SimConfig":
-        if not isinstance(d, Mapping):
-            raise ValueError(f"config must be a JSON object, got {d!r}")
-        kwargs = {k: d[k] for k in cls.__dataclass_fields__ if k in d and k != "protocol"}
-        if "protocol" in d:
-            kwargs["protocol"] = ProtocolParams.from_dict(d["protocol"])
+        kwargs = field_values(cls, d, "config")
+        if "protocol" in kwargs:
+            kwargs["protocol"] = ProtocolParams.from_dict(kwargs["protocol"])
         return cls(**kwargs)
 
 
@@ -456,11 +454,12 @@ def run_simulation(cfg: SimConfig, collect_blocks: bool = False,
         cliques = len(state.maximal_cliques())
         if cliques > max_cliques:
             max_cliques = cliques
-        for verdict, settled in (("final", final), ("stale", stale)):
-            for bid in settled:
-                meta = headers[bid]
-                if meta.creator == node and not meta.is_genesis and bid not in settle:
-                    settle[bid] = (verdict, now)
+        if final or stale:
+            for verdict, settled in (("final", final), ("stale", stale)):
+                for bid in settled:
+                    meta = headers[bid]
+                    if meta.creator == node and not meta.is_genesis and bid not in settle:
+                        settle[bid] = (verdict, now)
 
     # -- measurements over blocks created after the warm-up -------------------
     warmup = cfg.warmup

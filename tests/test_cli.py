@@ -77,12 +77,17 @@ class TestSimulateCommand:
                     "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config", [[1, 2], {"node_count": "abc"}])
+    @pytest.mark.parametrize("config", [
+        [1, 2], {"node_count": "abc"},
+        # misspelt keys, once run as their defaults
+        {"node_count": 8, "duration": 30, "protocl": {"thread_count": 2}, "sed": 5},
+        {"node_count": 8, "protocol": {"thread_cont": 2}}])
     def test_bad_config_file_exit_2(self, tmp_path, capsys, config):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(config))
         assert run(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
 
 
 class TestAttackCommand:
@@ -250,7 +255,8 @@ class TestReplayCommand:
         assert run(["replay", "--trace", str(trace)]) == 2
         assert "malformed trace" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config", [[1, 2], {"protocol": {"thread_count": "32"}}])
+    @pytest.mark.parametrize("config", [[1, 2], {"protocol": {"thread_count": "32"}},
+                                        {"thread_cont": 2}, {"protocol": {"thread_cont": 2}}])
     def test_bad_config_file_exit_2(self, tmp_path, capsys, config):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(config))
@@ -258,6 +264,15 @@ class TestReplayCommand:
         trace.write_text("")
         assert run(["replay", "--config", str(bad), "--trace", str(trace)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_simulate_config_read_through_protocol(self, tmp_path, capsys):
+        # a full simulate config gives replay its "protocol" object
+        trace = tmp_path / "empty.jsonl"
+        trace.write_text("")
+        assert run(["replay", "--config", "configs/toy.json", "--trace", str(trace),
+                    "--out", str(tmp_path)]) == 0
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert config == json.loads(open("configs/toy.json").read())["protocol"]
 
     def test_structural_violation_exit_4(self, tmp_path, capsys):
         p = ProtocolParams(thread_count=2, slot_interval=4.0, max_block_size=1000,

@@ -757,6 +757,79 @@ class TestSharedHeaders:
                     assert st.maximal_cliques() == ref.maximal_cliques()
 
 
+class TestAdoptionPath:
+    """The handle's per-step path: each header carries its id's integer, a
+    processed block fed again is answered from the view's statuses whatever
+    the shared index publishes, and a view's settlement reports per earlier
+    tips stay exact across its own finalizations."""
+
+    def test_header_integer_is_the_id(self):
+        rng = random.Random(5)
+        p, blocks = random_instance(rng, max_blocks=16)
+        store = BlockStore(p)
+        for b in blocks:
+            store.receive(b)
+        index = DagIndex()
+        CompatibilityState(p, index=index)
+        metas = [*index.genesis, *store.headers.values()]
+        assert len(metas) == len(blocks) + 2 * p.thread_count
+        assert all(m.num == int.from_bytes(m.id, "big") for m in metas)
+
+    def test_refed_header_returns_its_status(self):
+        # the other handles move on from the set the first holds, so only
+        # the first holds its view. No view is published under the key of a
+        # processed set grown by a block it holds, so each processed block
+        # fed again is answered by the view, which changes neither in the
+        # handle nor in the index's settle counts
+        p = params(t=1, f=2)
+        index = DagIndex()
+        handles = [CompatibilityState(p, index=index) for _ in range(3)]
+        metas, parent = [], make_genesis(0).id
+        for period in range(1, 6):
+            metas.append(HeaderMeta.from_block(blk(0, period, [parent])))
+            parent = metas[-1].id
+        for st in handles:
+            for meta in metas[:4]:
+                st.add_block(meta)
+        for st in handles[1:]:
+            st.add_block(metas[4])
+        first = handles[0]
+        view, key, settled = first.view, first.view.key, dict(index._settled)
+        assert view.holders == 1
+        refed = [*first.genesis_ids, *(m.id for m in metas[:4])]
+        before = [first.status(bid) for bid in refed]
+        assert {"final", "active"} <= set(before)
+        for bid, status in zip(refed, before):
+            assert first.extend_meta(index.headers[bid]) == status
+            assert first.update_finality() == ([], [])
+            assert first.view is view and view.key == key and index._settled == settled
+        first.check_invariants()
+        assert [first.status(bid) for bid in refed] == before
+
+    def test_finals_since_every_earlier_tips(self):
+        # one view, finalizing in place, asked for its finals since each
+        # earlier tips tuple before and after each finalization
+        p = params(t=2, f=2)
+        st = CompatibilityState(p)
+        g0, g1 = st.genesis_ids
+        blocks, parents = [], [g0, g1]
+        for period in range(1, 7):
+            for tau in range(2):
+                b = blk(tau, period, parents)
+                parents = [b.id if s == tau else parents[s] for s in range(2)]
+                blocks.append(b)
+        view = st.view
+        history = []    # (tips, final set) after each settlement
+        for b in blocks:
+            st.add_block(HeaderMeta.from_block(b))
+            assert st.view is view
+            history.append((view._latest_final, frozenset(view.final_set)))
+            for tips, then in history:
+                fresh = consensus._slot_order(st.headers, view.final_set - then)
+                assert view.finals_since(tips) == fresh
+        assert len({id(tips) for tips, _ in history}) > 3 and view.final_set - history[0][1]
+
+
 class TestReplay:
     def _trace(self, blocks, p):
         buf = io.StringIO()

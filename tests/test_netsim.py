@@ -41,6 +41,9 @@ class TestConfig:
         cfg = toy_config(seed=99)
         assert SimConfig.from_dict(asdict(cfg)) == cfg
 
+    def test_default_round_trip_dict(self):
+        assert SimConfig.from_dict(asdict(SimConfig())) == SimConfig()
+
     def test_overrides_short_aliases(self):
         cfg = apply_overrides(SimConfig(), {"N": "8", "T": "2", "t0": "4",
                                             "mu": "0.1", "S_B": "50000"})
@@ -69,6 +72,23 @@ class TestConfig:
     def test_bad_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             replace(toy_config(), **{field: value})
+
+    @pytest.mark.parametrize("name", ["toy.json", "throughput_12mbps_desk.json",
+                                      "throughput_12mbps_full.json"])
+    def test_shipped_configs_load(self, name):
+        data = json.loads((CONFIGS / name).read_text())
+        cfg = SimConfig.from_dict(data)
+        assert cfg.seed == data["seed"] and asdict(cfg.protocol) == data["protocol"]
+
+    def test_unknown_keys_named(self):
+        # a misspelt key once ran its default without a word
+        data = {"node_count": 8, "duration": 30, "protocl": {"thread_count": 2}, "sed": 5}
+        with pytest.raises(ValueError, match="unknown config keys: 'protocl', 'sed'"):
+            SimConfig.from_dict(data)
+        with pytest.raises(ValueError, match="unknown protocol keys: 'thread_cont'"):
+            SimConfig.from_dict({"protocol": {"thread_cont": 2}})
+        with pytest.raises(ValueError, match="unknown protocol keys: 'thread_cont'"):
+            ProtocolParams.from_dict({"thread_cont": 2})
 
     @pytest.mark.parametrize("data", [[1, 2], "x", {"protocol": [1]},
                                       {"protocol": {"thread_count": "32"}}])
@@ -182,6 +202,15 @@ class TestSimulation:
         m = run_simulation(cfg)
         assert m.stale_rate == 0.0
         assert m.tx_per_block == (100_000 - 6720 - 2 * 1040) // 1040
+
+    def test_header_integers_are_the_ids(self, monkeypatch):
+        # every header a run's handles are fed carries its id's integer
+        fed = []
+        extend = CompatibilityState.extend_meta
+        monkeypatch.setattr(CompatibilityState, "extend_meta",
+                            lambda st, meta: fed.append(meta) or extend(st, meta))
+        run_simulation(toy_config(duration=60.0))
+        assert fed and all(m.num == int.from_bytes(m.id, "big") for m in fed)
 
     def test_confirmation_near_finality_horizon(self):
         # fast toy net: confirmation ~ F t0/T plus one slot and small lag
