@@ -357,9 +357,10 @@ class BlockStore:
 
     def __init__(self, params: ProtocolParams, oracle=None, validate: bool = True,
                  max_pending: int = 10_000):
+        if validate is not True:    # kept for perfbench/forkgen.py until ROADMAP item 1
+            raise ValueError("a block store validates every block")
         self.params = params
         self.oracle = oracle
-        self.validate = validate
         self.max_pending = max_pending
         self.headers: dict[bytes, HeaderMeta] = {}
         self._waiting: dict[bytes, list[bytes]] = {}   # missing id -> waiting block ids
@@ -392,8 +393,7 @@ class BlockStore:
         (the given block plus any waiting blocks it unblocked). Raises
         StructuralViolation when the given block itself is permanently
         invalid; invalid blocks released from the waiting pool are dropped
-        and recorded in ``rejected``. Without validation, a header that
-        fails ``shape_violations`` raises ValueError.
+        and recorded in ``rejected``.
         """
         headers = self.headers
         if block.id in headers or block.id in self._pending:
@@ -406,20 +406,14 @@ class BlockStore:
             if None in parents:
                 self._buffer(blk, [p for p, h in zip(blk.parents, parents) if h is None])
                 continue
-            if self.validate:
-                violations = validate_block_structure(blk, self, self.params, self.oracle,
-                                                      parents)
-                if violations:
-                    if direct:
-                        raise StructuralViolation(blk.id, violations)
-                    self.rejected.append((blk.id, violations))
-                    log.warning("dropped invalid buffered block %s: %s",
-                                blk.id.hex()[:16], "; ".join(violations))
-                    continue
-            elif not blk.is_genesis:
-                shape = shape_violations(blk, parents, self.params.thread_count)
-                if shape:
-                    raise ValueError(f"block {blk.id.hex()[:12]}: {'; '.join(shape)}")
+            violations = validate_block_structure(blk, self, self.params, self.oracle, parents)
+            if violations:
+                if direct:
+                    raise StructuralViolation(blk.id, violations)
+                self.rejected.append((blk.id, violations))
+                log.warning("dropped invalid buffered block %s: %s",
+                            blk.id.hex()[:16], "; ".join(violations))
+                continue
             headers[blk.id] = HeaderMeta.from_block(blk, parents)
             accepted.append(blk)
             # release any blocks that were waiting on this one
@@ -455,8 +449,8 @@ def shape_violations(block: Block, parents: list[HeaderMeta],
                      thread_count: int) -> list[str]:
     """Check the shape of a non-genesis header, given its parents' stored
     headers: its thread is below T, it names T parents, and parent τ lies in
-    thread τ. Consensus indexes headers by these facts, so a block store
-    admits no header that fails here, with or without validation."""
+    thread τ. Consensus indexes headers by these facts, so validation
+    checks them first."""
     if block.thread >= thread_count:
         return [f"thread {block.thread} out of range for T={thread_count}"]
     if len(parents) != thread_count:
@@ -478,7 +472,7 @@ def validate_block_structure(block: Block, store: BlockStore, params: ProtocolPa
     """
     t = params.thread_count
     if block.is_genesis:
-        if block.id != make_genesis(block.thread).id:
+        if block.thread >= t or block.id != make_genesis(block.thread).id:
             return ["non-canonical genesis block"]
         return []
     if parents is None:

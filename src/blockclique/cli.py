@@ -285,8 +285,7 @@ def cmd_replay(args) -> int:
     manifest = RunManifest("replay", asdict(params), 0, started=time.time())
     try:
         with open(args.trace) as fp:
-            records, violations = replay_trace(
-                fp, params, validate=not args.no_validate)
+            records, violations = replay_trace(fp, params)
     except CliqueExplosion as e:
         print(f"clique explosion: {e}", file=sys.stderr)
         return EXIT_CLIQUE_EXPLOSION
@@ -349,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--config", help="JSON file carrying protocol parameters")
     rep.add_argument("--override", nargs="*", action="extend", default=[],
                      help="protocol overrides (T, t0, S_B, F, E)")
-    rep.add_argument("--no-validate", action="store_true",
-                     help="skip structural validation")
     rep.add_argument("--out", default=None, help="optional output directory")
     rep.set_defaults(func=cmd_replay)
     return parser

@@ -67,11 +67,9 @@ thread-τ ancestor of a block lies on the own-thread chain of its τ-parent, so
 the own-thread subtree sums count exactly a block's active descendants. Like
 those sums, the descent test assumes validated headers: its proof needs
 ancestor consistency and periods that rise along each thread's chain. Consensus
-trusts these rules and does not re-check them; ``replay --no-validate`` feeds
-unchecked headers. ``check_invariants`` compares the descent test with the
-descendants it finds by following parents. The headers' shape
-(``chain.shape_violations``) is checked by the block store even without
-validation.
+trusts these rules and does not re-check them; replay admits a header only
+through the block store's validation. ``check_invariants`` compares the
+descent test with the descendants it finds by following parents.
 
 Every node of a simulation runs this state machine over the same blocks, and
 most nodes process the same sets. A ``CompatibilityState`` is one node's
@@ -1015,25 +1013,22 @@ def _ranked(scored: Iterable[tuple[frozenset, int, int]]) -> list[tuple[frozense
     return sorted(scored, key=lambda c: (-c[1], c[2], _Lexical(c[0])))
 
 
-def replay_trace(fp, params: ProtocolParams, validate: bool = True):
-    """Replay a DAG trace file through a fresh consensus instance.
+def replay_trace(fp, params: ProtocolParams):
+    """Validate and replay a DAG trace file through a fresh consensus instance.
 
-    Yields one record per input block, in input order, after the whole trace
-    has been absorbed: ``{"id", "status", "cliques"}`` where status is one of
-    active/final/stale/unresolved and ``cliques`` counts the maximal cliques
-    containing the block at the end of the replay (the full clique count for
-    final blocks, zero for stale or unresolved ones).
+    Returns (records, violations): one record per input block, in input
+    order, after the whole trace has been absorbed, ``{"id", "status",
+    "cliques"}`` where status is one of active/final/stale/unresolved/invalid
+    and ``cliques`` counts the maximal cliques containing the block at the
+    end of the replay (the full clique count for final blocks, zero for
+    stale, unresolved and invalid ones).
     """
-    store = BlockStore(params, validate=validate)
+    store = BlockStore(params)
     state = CompatibilityState(params, index=DagIndex(store.headers))
     seen_order: list[bytes] = []
     violations: list[tuple[bytes, list[str]]] = []
     for block in read_trace(fp):
-        if block.is_genesis:
-            if block.id in state.genesis_ids:
-                continue
-            violations.append((block.id, ["non-canonical genesis block"]))
-            seen_order.append(block.id)
+        if block.id in store.genesis_ids:
             continue
         seen_order.append(block.id)
         try:
@@ -1042,8 +1037,7 @@ def replay_trace(fp, params: ProtocolParams, validate: bool = True):
             violations.append((block.id, e.violations))
             continue
         for adm in admitted:
-            if not adm.is_genesis:
-                state.add_block(store.headers[adm.id])
+            state.add_block(store.headers[adm.id])
     violations.extend(store.rejected)
     bad = {bid for bid, _ in violations}
     final, cliques = state.final_set, state.maximal_cliques()

@@ -53,6 +53,7 @@ import math
 import struct
 from collections import deque
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Mapping, Optional
 
 import numpy as np
@@ -152,24 +153,32 @@ def apply_overrides(cfg: SimConfig, overrides: Mapping[str, str]) -> SimConfig:
             raise KeyError(f"unknown override {key!r}")
     proto = cfg.protocol
     if proto_kwargs:
-        proto = replace(proto, **{name: _parse(raw, type(getattr(proto, name)))
+        proto = replace(proto, **{name: _parse(name, raw, type(getattr(proto, name)))
                                   for name, raw in proto_kwargs.items()})
     if bitrate is not None:
         proto = replace(proto, max_block_size=int(
             bitrate * proto.slot_interval / proto.thread_count))
-    parsed = {name: raw if name == "protocol" else _parse(raw, type(getattr(cfg, name)))
+    parsed = {name: raw if name == "protocol" else _parse(name, raw, type(getattr(cfg, name)))
               for name, raw in cfg_kwargs.items()}
     if proto is not cfg.protocol:
         parsed["protocol"] = proto
     return replace(cfg, **parsed)
 
 
-def _parse(raw, kind):
+def _parse(name: str, raw, kind):
     if isinstance(raw, kind):
         return raw
     if kind is bool:
         return str(raw).lower() in ("1", "true", "yes", "on")
-    return kind(float(raw)) if kind is int else kind(raw)
+    if kind is not int:
+        return kind(raw)
+    try:
+        value = Fraction(raw)    # exact, where a float rounds large integers
+    except (ValueError, TypeError, OverflowError):
+        value = None
+    if value is None or value.denominator != 1:
+        raise ValueError(f"{name} must be an integer, got {raw!r}")
+    return int(value)
 
 
 @dataclass

@@ -19,7 +19,7 @@ def random_instance(rng: random.Random, max_blocks: int = 20):
     e = rng.choice([0, 2])
     params = ProtocolParams(thread_count=t, slot_interval=4.0, max_block_size=10_000,
                             finality=f, endorsement_slots=e)
-    store = BlockStore(params, validate=True)
+    store = BlockStore(params)
     by_thread: list[list[bytes]] = [[gid] for gid in store.genesis_ids]
     blocks: list[Block] = []
     target = rng.randint(4, max_blocks)
@@ -87,7 +87,7 @@ def honest_instance(rng: random.Random, steps: int | None = None):
     params = ProtocolParams(thread_count=t, slot_interval=4.0, max_block_size=10_000,
                             finality=3, endorsement_slots=e)
     engine = CompatibilityState(params)
-    store = BlockStore(params, validate=True)
+    store = BlockStore(params)
     blocks: list[Block] = []
     snapshots: list[list[bytes]] = []
     target = steps if steps is not None else rng.randint(6, 16)

@@ -319,6 +319,10 @@ class TestBlockStore:
         assert [b.id for b in accepted] == [b1.id, b2.id]
         assert store.pending_count == 0
 
+    def test_every_block_is_validated(self):
+        with pytest.raises(ValueError, match="validates every block"):
+            BlockStore(ProtocolParams(), validate=False)
+
     def test_duplicate_is_ignored(self):
         p, store = chain_fixture()
         b1 = mk_block(store, 0, 1, store.genesis_ids)

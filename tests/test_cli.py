@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+from blockclique import consensus
 from blockclique.chain import ProtocolParams, make_genesis, write_trace
 from blockclique.cli import canonical_json, main
+from blockclique.consensus import CompatibilityState
 
 from dag_gen import random_instance
 
@@ -71,7 +73,9 @@ class TestSimulateCommand:
                     "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("override", ["B=0", "S_tx=0", "L=-1", "B=-5",
-                                          "block_verify_time=-1", "mu=nan"])
+                                          "block_verify_time=-1", "mu=nan",
+                                          # once truncated to N=4 and seed 7
+                                          "N=4.7", "seed=7.9"])
     def test_bad_value_exit_2(self, tmp_path, capsys, override):
         assert run(["simulate", "--config", "configs/toy.json", "--override", override,
                     "--out", str(tmp_path)]) == 2
@@ -305,14 +309,27 @@ class TestReplayCommand:
         argv = ["replay", "--trace", str(trace), "--override", "T=2", "F=3", "E=0",
                 "t0=4", "S_B=10000"]
         assert run(argv) == 4
-        capsys.readouterr()
-        assert run(argv + ["--no-validate"]) in (0, 2, 3, 4)
-        assert len(capsys.readouterr().out.splitlines()) == 3
+        captured = capsys.readouterr()
+        assert "not covered by the declared parent" in captured.err
+        assert [json.loads(l)["status"] for l in captured.out.splitlines()] == \
+            ["active", "active", "invalid"]
 
-    def test_no_validate_final_parent_off_final_chain(self, tmp_path, capsys):
-        # b0 is a non-genesis block at period 0 in thread 1. Once b0 and g1
-        # are final, g1 stays thread 1's final tip, so the walk down from it
-        # to b3's final parent b0 reaches genesis without meeting b0
+    def test_non_canonical_genesis_rejected(self, tmp_path, capsys):
+        # a parentless block at period 1, and thread 3's genesis at T=2
+        from blockclique.chain import Block, Slot
+        p = ProtocolParams(thread_count=2)
+        fake = Block(slot=Slot(0, 1), creator=0, parents=(), size_bits=0, tx_count=0)
+        trace = tmp_path / "trace.jsonl"
+        self._write_trace(trace, p, [fake, make_genesis(3), fake])
+        assert run(["replay", "--trace", str(trace), "--override", "T=2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.count("non-canonical genesis block") == 3
+        assert [json.loads(l)["status"] for l in captured.out.splitlines()] == ["invalid"] * 3
+
+    def test_period_zero_block_rejected(self, tmp_path, capsys):
+        # b0 is a non-genesis block at period 0 in thread 1, whose own-thread
+        # parent g1 is no older: validation rejects it, and b1, b2 and b3,
+        # which name it, wait for it unresolved
         p = ProtocolParams(thread_count=2, slot_interval=4.0, max_block_size=10_000,
                            finality=1, endorsement_slots=0)
         from blockclique.chain import Block, Slot
@@ -324,16 +341,19 @@ class TestReplayCommand:
         trace = tmp_path / "trace.jsonl"
         self._write_trace(trace, p, [b0, b1, b2, b3])
         argv = ["replay", "--trace", str(trace), "--override", "T=2", "F=1", "E=0",
-                "t0=4", "S_B=10000", "--no-validate"]
-        assert run(argv) in (0, 2, 3, 4)
-        assert len(capsys.readouterr().out.splitlines()) == 4
+                "t0=4", "S_B=10000"]
+        assert run(argv) == 4
+        captured = capsys.readouterr()
+        assert "non-genesis block in period 0" in captured.err
+        assert [json.loads(l)["status"] for l in captured.out.splitlines()] == \
+            ["invalid", "unresolved", "unresolved", "unresolved"]
 
     @pytest.mark.parametrize("thread, parent_count", [(1, 1), (5, 2)])
     def test_no_validate_header_without_own_thread_parent(self, tmp_path, capsys,
                                                           thread, parent_count):
         # at T=2, a thread-1 block with one parent and a thread-5 block both
-        # lack a parent in their own thread: validation rejects them, and
-        # without it the header cannot be read
+        # lack a parent in their own thread: the header's shape is the first
+        # rule validation checks, and the block is rejected
         p = ProtocolParams(thread_count=2, slot_interval=4.0, max_block_size=10_000,
                            finality=3, endorsement_slots=0)
         from blockclique.chain import Block, Slot
@@ -345,23 +365,59 @@ class TestReplayCommand:
         argv = ["replay", "--trace", str(trace), "--override", "T=2", "F=3", "E=0",
                 "t0=4", "S_B=10000"]
         assert run(argv) == 4
-        capsys.readouterr()
-        assert run(argv + ["--no-validate"]) == 2
-        assert "malformed trace" in capsys.readouterr().err
+        assert "structural violation" in capsys.readouterr().err
 
-    def test_no_validate_random_traces_never_raise(self, tmp_path, capsys):
+    def test_no_validate_flag_is_gone(self, tmp_path, capsys):
+        trace = tmp_path / "empty.jsonl"
+        trace.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            run(["replay", "--trace", str(trace), "--no-validate"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-validate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["T=2.9", "F=3.5", "E=inf"])
+    def test_non_integral_override_exit_2(self, tmp_path, capsys, override):
+        # once truncated: T=2.9 replayed at T=2
+        trace = tmp_path / "empty.jsonl"
+        trace.write_text("")
+        assert run(["replay", "--trace", str(trace), "--override", override]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @staticmethod
+    def _checked_handles(monkeypatch):
+        """The consensus handles that replays build from now on, each
+        checking its invariants after every block it is fed."""
+        handles = []
+
+        class CheckedState(CompatibilityState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                handles.append(self)
+
+            def add_block(self, meta):
+                result = super().add_block(meta)
+                self.check_invariants()
+                return result
+
+        monkeypatch.setattr(consensus, "CompatibilityState", CheckedState)
+        return handles
+
+    def test_fuzzed_traces_validated(self, tmp_path, capsys, monkeypatch):
         # per thread, each parent is any block made so far in that thread,
         # and each period is the largest so far plus 0 or 1: own-thread
         # parents need not be older, and ancestors need not be consistent.
-        # Such a trace exits 0. Past the first 300 traces, some blocks also
-        # break the header shape consensus indexes by: an extra parent, a
-        # thread at or above T, or a parent slot naming a block of another
-        # thread. Such a trace is malformed and exits 2
+        # Past the first 300 traces, some blocks also break the header shape
+        # consensus indexes by: an extra parent, a thread at or above T, or a
+        # parent slot naming a block of another thread. Validation rejects
+        # each such block, so a trace exits 0 or 4, and 4 when misshapen; the
+        # handle that replays its accepted blocks keeps its invariants
         from blockclique.chain import Block, Slot
+        handles = self._checked_handles(monkeypatch)
         rng = random.Random(5)
         trace = tmp_path / "trace.jsonl"
         shapes = [None] * 300 + ["extra parent", "thread out of range",
                                  "cross-thread parent"] * 200
+        codes = []
         for shape in shapes:
             f = rng.choice([1, 2])
             pools = [[make_genesis(t).id] for t in range(4)]
@@ -391,10 +447,38 @@ class TestReplayCommand:
                 blocks.append(b)
             self._write_trace(trace, ProtocolParams(thread_count=4), blocks)
             argv = ["replay", "--trace", str(trace), "--override", "T=4", f"F={f}",
-                    "E=0", "t0=4", "S_B=10000", "--no-validate"]
+                    "E=0", "t0=4", "S_B=10000"]
             code = run(argv)
-            assert code == (2 if misshapen else 0)
-            capsys.readouterr()
+            assert code in ((4,) if misshapen else (0, 4))
+            assert ("structural violation" in capsys.readouterr().err) == (code == 4)
+            handles.pop().check_invariants()
+            codes.append(code)
+        assert not handles
+        assert 0 < codes.count(0) < codes.count(4)
+
+    def test_forked_traces_validated(self, tmp_path, capsys, monkeypatch):
+        # valid traces with thread and grandpa conflicts, half of them
+        # shuffled so that children arrive before their parents: every block
+        # is accepted and settled, and the replaying handle keeps its
+        # invariants after every block
+        handles = self._checked_handles(monkeypatch)
+        rng = random.Random(8)
+        trace = tmp_path / "trace.jsonl"
+        stales = 0
+        for i in range(200):
+            params, blocks = random_instance(rng, max_blocks=16)
+            if i % 2:
+                rng.shuffle(blocks)
+            self._write_trace(trace, params, blocks)
+            assert run(["replay", "--trace", str(trace), "--override",
+                        f"T={params.thread_count}", f"F={params.finality}",
+                        f"E={params.endorsement_slots}", "t0=4", "S_B=10000"]) == 0
+            statuses = [json.loads(l)["status"] for l in capsys.readouterr().out.splitlines()]
+            assert len(statuses) == len(blocks)
+            assert set(statuses) <= {"active", "final", "stale"}
+            stales += statuses.count("stale")
+            handles.pop().check_invariants()
+        assert stales > 0
 
     def test_unresolved_cycle_attempt(self, tmp_path, capsys):
         p = ProtocolParams(thread_count=2, slot_interval=4.0, max_block_size=10_000,

@@ -356,14 +356,15 @@ class TestFinality:
                     assert b not in st.view._incompat.get(a, ())
 
     def test_final_tip_is_parent_first(self):
-        # the unvalidated trace of the CLI's final-parent-off-final-chain
-        # test: b0 sits at period 0 over g1, also at period 0, and its id is
-        # smaller than g1's. Once both are final, b0 must be thread 1's tip:
-        # a tip chosen by the larger (period, id) stays g1 and leaves b0 out
-        # of the finals, which the processed-set key check catches
+        # headers fed straight to a handle, which trusts them: b0 sits at
+        # period 0 over g1, also at period 0, and its id is smaller than
+        # g1's (validation rejects such a block; CLI test
+        # test_period_zero_block_rejected). Once both are final, b0 must be
+        # thread 1's tip: a tip chosen by the larger (period, id) stays g1
+        # and leaves b0 out of the finals, which the processed-set key check
+        # catches
         p = params(t=2, f=1)
-        store = BlockStore(p, validate=False)
-        st = CompatibilityState(p, index=DagIndex(store.headers))
+        st = CompatibilityState(p)
         g0, g1 = st.genesis_ids
         b0 = blk(1, 0, [g0, g1], creator=5)
         b1 = blk(0, 1, [g0, b0.id], creator=3)
@@ -371,8 +372,7 @@ class TestFinality:
         b3 = blk(0, 2, [g0, b0.id], creator=0)
         assert b0.id < g1
         for b in (b0, b1, b2, b3):
-            for adm in store.receive(b):
-                st.add_block(HeaderMeta.from_block(adm))
+            st.add_block(HeaderMeta.from_block(b))
             st.check_invariants()
         assert {g1, b0.id} <= st.final_set
 

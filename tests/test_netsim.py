@@ -3,13 +3,14 @@ import heapq
 import json
 import math
 from collections import Counter
+from itertools import combinations
 from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from blockclique.chain import ProtocolParams
+from blockclique.chain import ProtocolParams, covers, incompatible
 from blockclique.cli import canonical_json
 from blockclique.consensus import CompatibilityState
 from blockclique.errors import TopologyError
@@ -56,6 +57,16 @@ class TestConfig:
     def test_bitrate_override_sets_block_size(self):
         cfg = apply_overrides(SimConfig(), {"T": "32", "t0": "32", "C_B": "12e6"})
         assert cfg.protocol.max_block_size == 12_000_000
+
+    @pytest.mark.parametrize("raw, value", [("1e3", 1000), ("9007199254740993", 2**53 + 1)])
+    def test_integer_override_exact(self, raw, value):
+        # the second was once rounded through a float to 2**53
+        assert apply_overrides(SimConfig(), {"seed": raw}).seed == value
+
+    @pytest.mark.parametrize("raw", ["4.7", "inf", "nan", "abc"])
+    def test_non_integral_override_rejected(self, raw):
+        with pytest.raises(ValueError, match="node_count must be an integer"):
+            apply_overrides(SimConfig(), {"N": raw})
 
     def test_unknown_override_rejected(self):
         with pytest.raises(KeyError):
@@ -453,3 +464,72 @@ class TestSharedViews:
         handles = list(self._check(monkeypatch, self._toy(4.0)))
         assert any(h.stale_set for h in handles)
         handles[0].check_invariants()
+
+
+class TestCrossNodeConsistency:
+    """The paper's main theorem at the end of a run: the union of every
+    node's final blocks holds no directly conflicting pair, and per thread
+    the nodes' final chains are prefixes of one another, so the highest
+    thread-τ final of any node covers every node's thread-τ finals."""
+
+    @staticmethod
+    def _end_states(monkeypatch, cfg):
+        """Each node's final set at the end of a run of ``cfg``, and the
+        run's header map."""
+        handles = []
+        init = CompatibilityState.__init__
+
+        def recording_init(st, *args, **kwargs):
+            init(st, *args, **kwargs)
+            handles.append(st)
+
+        monkeypatch.setattr(CompatibilityState, "__init__", recording_init)
+        run_simulation(cfg)
+        monkeypatch.undo()
+        assert len(handles) == cfg.node_count
+        return [h.final_set for h in handles], handles[0].headers
+
+    @staticmethod
+    def _tops(metas) -> dict:
+        """Per thread, the header of greatest period among ``metas``."""
+        top = {}
+        for meta in metas:
+            if meta.thread not in top or meta.period > top[meta.thread].period:
+                top[meta.thread] = meta
+        return top
+
+    def _violations(self, final_sets, headers) -> int:
+        finals = [headers[bid] for bid in sorted(set().union(*final_sets))]
+        conflicts = sum(incompatible(headers, a, b) for a, b in combinations(finals, 2))
+        top = self._tops(finals)
+        return conflicts + sum(not covers(headers, meta, top[meta.thread]) for meta in finals)
+
+    def _check(self, monkeypatch, cfg, finals: int):
+        """Run ``cfg``; no violation, and ``finals`` blocks final at some node."""
+        final_sets, headers = self._end_states(monkeypatch, cfg)
+        assert self._violations(final_sets, headers) == 0
+        assert len(set().union(*final_sets)) == finals
+        return final_sets, headers
+
+    @staticmethod
+    def _forking(finality: int):
+        """The pinned forking config of TestForkingRun at ``finality``."""
+        cfg = replace(SimConfig.from_dict(json.loads((CONFIGS / "toy.json").read_text())),
+                      node_count=32, mean_latency=4.0)
+        return replace(cfg, protocol=replace(cfg.protocol, finality=finality))
+
+    def test_desk(self, monkeypatch):
+        cfg = replace(SimConfig.from_dict(json.loads(
+            (CONFIGS / "throughput_12mbps_desk.json").read_text())), duration=600.0)
+        self._check(monkeypatch, cfg, 529)
+
+    def test_forking_run(self, monkeypatch):
+        # nodes end on different final chains
+        final_sets, headers = self._check(monkeypatch, self._forking(4), 76)
+        tips = {frozenset(self._tops(map(headers.get, fs)).values()) for fs in final_sets}
+        assert len(tips) == 4
+
+    def test_forking_run_at_f1(self, monkeypatch):
+        # a final rule that finalized deep blocks with edges finalizes both
+        # sides of forks here (over 1,700 violations)
+        self._check(monkeypatch, self._forking(1), 79)
